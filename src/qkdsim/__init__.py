@@ -49,6 +49,7 @@ from .protocol import (
     BB84_ABORT_THRESHOLD,
     Announcement,
     DisturbanceEstimate,
+    RoundColumns,
     RoundMode,
     RoundRecord,
     SessionConfig,

@@ -330,13 +330,14 @@ def eve_accuracy(transcript: "Transcript") -> EveAccuracy:
     guesses; coverage reports the excluded fraction.  Accuracy is None
     when nothing is covered, and both are NaN/None for an empty key.
     """
-    alice = transcript.alice_key
-    eve = transcript.eve_key
-    if not alice:
+    if not transcript.alice_key:
         return EveAccuracy(float("nan"), None)
-    covered = [(a, e) for a, e in zip(alice, eve) if e != "?"]
-    coverage = len(covered) / len(alice)
-    if not covered:
+    alice = np.frombuffer(transcript.alice_key.encode("ascii"), dtype=np.uint8)
+    eve = np.frombuffer(transcript.eve_key.encode("ascii"), dtype=np.uint8)
+    covered = eve != ord("?")
+    n_covered = int(np.count_nonzero(covered))
+    coverage = n_covered / len(alice)
+    if not n_covered:
         return EveAccuracy(coverage, None)
-    hits = sum(1 for a, e in covered if a == e)
-    return EveAccuracy(coverage, hits / len(covered))
+    hits = int(np.count_nonzero(covered & (alice == eve)))
+    return EveAccuracy(coverage, hits / n_covered)

@@ -77,9 +77,13 @@ def legs_for(protocol: ProtocolKind) -> int:
 
 
 def path_transmittance(t_leg: float, protocol: ProtocolKind) -> float:
-    """End-to-end transmittance for one round of the given protocol."""
-    if not 0.0 < t_leg <= 1.0:
-        raise ValueError(f"t_leg out of (0, 1]: {t_leg!r}")
+    """End-to-end transmittance for one round of the given protocol.
+
+    A leg transmittance of 0 (an opaque link, or a long one whose
+    attenuation underflows) gives 0.
+    """
+    if not 0.0 <= t_leg <= 1.0:
+        raise ValueError(f"t_leg out of [0, 1]: {t_leg!r}")
     return t_leg ** legs_for(protocol)
 
 

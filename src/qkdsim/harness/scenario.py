@@ -23,7 +23,7 @@ from ..infotheory import (
     mutual_info_ae,
 )
 from ..kinds import ProtocolKind
-from ..postproc import NO_PRIVACY_REASON, privacy_amplify
+from ..postproc import DEFAULT_SAFETY_BITS, NO_PRIVACY_REASON, privacy_amplify
 from ..protocol import (
     BB84_ABORT_THRESHOLD,
     SessionConfig,
@@ -244,9 +244,12 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             modes = "MM"
             max_disturbance = BB84_ABORT_THRESHOLD
             secure_for = f"d_mm < {BB84_ABORT_THRESHOLD}"
-            d_mm = min(est.d_mm, 0.5)
-            i_ab = mutual_info_ab(d_mm)
-            i_ae = mutual_info_ae(d_mm)
+            if est.d_mm is None:  # a session too short to disclose any bit
+                i_ab = i_ae = None
+            else:
+                d_mm = min(est.d_mm, 0.5)
+                i_ab = mutual_info_ab(d_mm)
+                i_ae = mutual_info_ae(d_mm)
         else:
             modes = "MM+CM"
             i_ab = 1.0
@@ -368,7 +371,8 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         eve_info = _session_eve_info(transcript)
         if eve_info is not None:
             pa_rng = random.Random(child_seed(sc.seed, 0x70A))
-            secret, spec = privacy_amplify(transcript.alice_key, eve_info, rng=pa_rng)
+            secret, spec = privacy_amplify(transcript.alice_key, eve_info,
+                                           DEFAULT_SAFETY_BITS, pa_rng)
             summary.append(("pa_eve_info", eve_info))
             summary.append(("pa_output_length", spec.output_len if spec else 0))
             summary.append(("secret_key_hex", bits_to_hex(secret)))

@@ -94,7 +94,9 @@ def _bb84_ir_session() -> tuple:
     if key not in _session_cache:
         cfg = SessionConfig(
             protocol=ProtocolKind.BB84,
-            n_rounds=200000,
+            # 1.2e4 disclosed bits expected, so the >= 1e4 sample-size
+            # requirement of criterion 7 holds by a wide margin.
+            n_rounds=240000,
             seed=_SEED + 11,
             cm_fraction=0.0,
             channel=ChannelSpec.for_protocol(ProtocolKind.BB84),

@@ -120,16 +120,15 @@ def choose_output_length(m: int, eve_info: float, safety: int = DEFAULT_SAFETY_B
     return max(0, math.floor(m * (1.0 - eve_info)) - safety)
 
 
-def privacy_amplify(key: str, eve_info: float, safety: int = DEFAULT_SAFETY_BITS,
-                    rng: random.Random | None = None) -> tuple[str, HashSpec | None]:
-    """Compress a raw key through a freshly drawn hash spec.
+def privacy_amplify(key: str, eve_info: float, safety: int,
+                    rng: random.Random) -> tuple[str, HashSpec | None]:
+    """Compress a raw key through a hash spec drawn from ``rng``.
 
     Returns the secret key and the spec, so the peer (who holds the same
     raw key) can compute the identical output.  A zero output length
-    yields an empty key; callers report that as NO_PRIVACY_REASON.
+    yields an empty key; callers report that as NO_PRIVACY_REASON.  The
+    caller supplies a seeded rng: there is no wall-clock seeding.
     """
-    if rng is None:
-        rng = random.Random()
     m = len(key)
     if m == 0:
         return "", None

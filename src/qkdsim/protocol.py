@@ -1,10 +1,18 @@
-"""Round-by-round state machines for the four protocols.
+"""Session engine for the four protocols over canonical-state columns.
 
-Each round runs the carrier through the leg topology with the attack
-hooks in path order: two-way rounds go sender -> [Eve] -> channel ->
-encoder -> channel -> [Eve] -> sender, one-way rounds go preparer ->
-[Eve] -> channel -> measurer.  Eve sits at the key party's doorstep, so
-her substituted carriers traverse exactly the legs a genuine one would.
+Every carrier a session builds is one of the four canonical states, or
+for ping-pong one of the two anticorrelated Bell labels, so every Born
+probability is 0, 1/2 or 1.  A round therefore reduces to a few boolean
+operations on (basis, bit) columns: a same-basis measurement returns the
+bit, a cross-basis one a fair coin, the flip iY toggles the bit in
+either basis and a channel flip toggles it within the carrier's basis.
+One numpy kernel per protocol family (one-way, LM05, ping-pong) runs all
+rounds of a session at once and returns a :class:`RoundColumns`.
+
+Leg topology: two-way rounds go sender -> [Eve] -> channel -> encoder ->
+channel -> [Eve] -> sender, one-way rounds go preparer -> [Eve] ->
+channel -> measurer.  Eve sits at the key party's doorstep, so her
+substituted carriers traverse exactly the legs a genuine one would.
 
 Mode scheduling, sifting, disturbance estimation and the abort rule
 follow the per-protocol conventions documented on the operations below.
@@ -21,40 +29,43 @@ Per-round control-mode consistency checks:
 
 Message-mode disturbance is estimated on a randomly disclosed 10% sample
 of the sifted key, which is then discarded from the key.  Everything is
-deterministic given the session seed.
+deterministic given the session seed: all draws come in bulk from one
+``random.Random(seed)`` stream.
 """
 
-import csv
 import io
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
-from .adversary import AttackKind, AttackSpec, EveState, intervene_backward, intervene_forward
-from .channel import ChannelSpec, legs_for, transmit, transmit_bell
+import numpy as np
+
+from .adversary import AttackKind, AttackSpec, BasisPolicy
+from .channel import ChannelSpec, legs_for
 from .kinds import ProtocolKind
-from .qstate import (
-    Basis,
-    BellLabel,
-    CanonState,
-    Encoding,
-    apply_encoding,
-    bell_measure,
-    canon_for,
-    measure,
-    pp_encode,
-    prepare,
-)
+from .qstate import Basis, BellLabel, CanonState, Encoding
+
+# The per-round primitives stay attributes of this module: the
+# benchmark's traced run (perfbench/tracing.py) wraps these names here.
+from .adversary import intervene_backward, intervene_forward  # noqa: F401
+from .channel import transmit, transmit_bell  # noqa: F401
+from .qstate import measure, prepare  # noqa: F401
 
 DISCLOSE_FRACTION = 0.1
 BB84_ABORT_THRESHOLD = 0.11
 DEFAULT_D_PD_CM = 0.05
 
 _Z95 = 1.96
+# Column codes: basis 0 is Z and 1 is X; a canonical state is 2 * basis + bit.
 _BASES = (Basis.Z, Basis.X)
 _CANON = (CanonState.ZERO, CanonState.ONE, CanonState.PLUS, CanonState.MINUS)
+_ENCODINGS = (Encoding.IDENTITY, Encoding.IY)
+# Pair label bit: 0 is the source state PSI_MINUS, 1 the toggled PSI_PLUS.
+_LABELS = (BellLabel.PSI_MINUS, BellLabel.PSI_PLUS)
+_TWO_POW_53 = 2.0 ** 53
 
 _COMPATIBLE_ATTACKS = {
     AttackKind.NO_ATTACK: frozenset(ProtocolKind),
@@ -123,14 +134,15 @@ class SessionConfig:
 
 @dataclass(slots=True)
 class RoundRecord:
-    """One protocol round.
+    """One protocol round, as an object.
 
     ``action`` is the applied Encoding on message rounds of two-way
     protocols, the Announcement on control rounds, and None for one-way
-    rounds (the preparation itself carries the intent).  ``bob_result``
-    is the raw measured bit or Bell label; None together with ``lost``
-    means the round produced no detection.  ``eve_touched`` is ground
-    truth for test oracles only; protocol logic never reads it.
+    rounds (the preparation itself carries the intent) or when the
+    carrier was lost before the encoder.  ``bob_result`` is the raw
+    measured bit or Bell label; None together with ``lost`` means the
+    round produced no detection.  ``eve_touched`` is ground truth for
+    test oracles only; protocol logic never reads it.
     """
 
     index: int
@@ -142,6 +154,100 @@ class RoundRecord:
     lost: bool
     eve_touched: bool
     disclosed: bool = False
+
+
+@dataclass(eq=False)
+class RoundColumns:
+    """A session's rounds as parallel numpy columns, one entry per round.
+
+    Bases and bits are uint8 codes (basis 0 = Z, 1 = X); flags are bool.
+    Entries a round does not define (the action of a one-way round, the
+    result of a lost one) hold arbitrary bits and are never read.
+
+    * ``prep_basis``/``prep_bit`` - the preparation; a ping-pong pair is
+      always the source label, bit 0.
+    * ``acted`` - a two-way encoder received the carrier and acted on it.
+    * ``act_basis``/``act_bit`` - the encoding bit on message rounds, the
+      announced basis and outcome on control rounds.
+    * ``bob_basis``/``result`` - the one-way receiver's basis and the raw
+      outcome; ping-pong message results are pair label bits.
+    * ``eve`` - Eve engaged; ``eve_bit`` - the key bit she inferred on a
+      message round, -1 where she holds none.
+    """
+
+    cm: np.ndarray
+    prep_basis: np.ndarray
+    prep_bit: np.ndarray
+    acted: np.ndarray
+    act_basis: np.ndarray
+    act_bit: np.ndarray
+    bob_basis: np.ndarray
+    result: np.ndarray
+    lost: np.ndarray
+    eve: np.ndarray
+    eve_bit: np.ndarray
+    disclosed: np.ndarray
+
+    @classmethod
+    def from_records(cls, rounds) -> "RoundColumns":
+        """Columns of a RoundRecord list (Eve's inferred bits are not recorded)."""
+        rows = [_record_codes(rec) for rec in rounds]
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), 11).T
+        flags = table.astype(bool)
+        bits = table.astype(np.uint8)
+        return cls(cm=flags[0], prep_basis=bits[1], prep_bit=bits[2], acted=flags[3],
+                   act_basis=bits[4], act_bit=bits[5], bob_basis=bits[6], result=bits[7],
+                   lost=flags[8], eve=flags[9], eve_bit=np.full(len(rows), -1, np.int8),
+                   disclosed=flags[10])
+
+    def records(self, protocol: ProtocolKind) -> list[RoundRecord]:
+        """The rounds as RoundRecord objects."""
+        two_way = protocol.is_two_way
+        pp = protocol is ProtocolKind.PING_PONG
+        columns = (self.cm, self.prep_basis, self.prep_bit, self.acted, self.act_basis,
+                   self.act_bit, self.bob_basis, self.result, self.lost, self.eve,
+                   self.disclosed)
+        out = []
+        for idx, (cm, pb, pbit, acted, ab, abit, bb, res, lost, eve, disclosed) in enumerate(
+                zip(*(c.tolist() for c in columns))):
+            if not acted:
+                action = None
+            elif cm:
+                action = Announcement(_BASES[ab], abit)
+            else:
+                action = _ENCODINGS[abit]
+            if lost:
+                bob_basis = result = None
+            else:
+                bob_basis = None if two_way else _BASES[bb]
+                result = _LABELS[res] if pp and not cm else res
+            out.append(RoundRecord(
+                idx, RoundMode.CONTROL if cm else RoundMode.MESSAGE,
+                _LABELS[0] if pp else _CANON[2 * pb + pbit], action, bob_basis, result,
+                lost, eve, disclosed))
+        return out
+
+
+def _record_codes(rec: RoundRecord) -> tuple:
+    prep = rec.prep
+    prep_codes = (0, 0) if isinstance(prep, BellLabel) else (_BASES.index(prep.basis), prep.bit)
+    action = rec.action
+    if action is None:
+        act_codes = (0, 0, 0)
+    elif isinstance(action, Announcement):
+        act_codes = (1, _BASES.index(action.basis), action.bit)
+    else:
+        act_codes = (1, 0, action.bit)
+    result = rec.bob_result
+    if isinstance(result, BellLabel):
+        result = _LABELS.index(result)
+    return (rec.mode is RoundMode.CONTROL, *prep_codes, *act_codes,
+            0 if rec.bob_basis is None else _BASES.index(rec.bob_basis),
+            0 if result is None else result, rec.lost, rec.eve_touched, rec.disclosed)
+
+
+def _as_columns(rounds) -> RoundColumns:
+    return rounds if isinstance(rounds, RoundColumns) else RoundColumns.from_records(rounds)
 
 
 @dataclass(frozen=True)
@@ -162,20 +268,25 @@ class DisturbanceEstimate:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Full session log: config echo, rounds, sifted keys and verdict.
+    """Full session log: config echo, round columns, sifted keys and verdict.
 
     ``eve_key`` is aligned with the sifted keys; '?' marks key bits from
-    rounds Eve did not engage on.
+    rounds Eve did not engage on.  ``rounds`` builds the RoundRecord view
+    of the columns on first access.
     """
 
     config: SessionConfig
-    rounds: list[RoundRecord]
+    columns: RoundColumns
     alice_key: str
     bob_key: str
     eve_key: str
     disturbance: DisturbanceEstimate
     aborted: bool
     abort_reason: str | None
+
+    @cached_property
+    def rounds(self) -> list[RoundRecord]:
+        return self.columns.records(self.config.protocol)
 
 
 def binomial_half_width_95(p_hat: float, n: int) -> float:
@@ -201,70 +312,65 @@ def bob_decoded_bit(protocol: ProtocolKind, rec: RoundRecord) -> int:
     return rec.bob_result
 
 
-def _sift_keep(protocol: ProtocolKind, rec: RoundRecord) -> bool:
-    if rec.lost or rec.mode is not RoundMode.MESSAGE:
-        return False
+def _alice_bits(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
+    return cols.act_bit if protocol.is_two_way else cols.prep_bit
+
+
+def _bob_bits(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
+    if protocol is ProtocolKind.LM05:
+        return cols.result ^ cols.prep_bit
+    return cols.result
+
+
+def _sift_mask(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
+    keep = ~cols.lost & ~cols.cm
     if protocol is ProtocolKind.BB84:
-        return rec.bob_basis is rec.prep.basis
+        return keep & (cols.bob_basis == cols.prep_basis)
     if protocol is ProtocolKind.MCAS_BB84:
-        return rec.bob_basis is Basis.Z
-    return True
+        return keep & (cols.bob_basis == 0)
+    return keep
 
 
-def _key_rounds(protocol: ProtocolKind, rounds) -> list[RoundRecord]:
-    return [r for r in rounds if _sift_keep(protocol, r) and not r.disclosed]
+def _bit_string(bits: np.ndarray) -> str:
+    return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def sift(protocol: ProtocolKind, rounds) -> tuple[str, str]:
-    """Distill the key pair from a round list.
+    """Distill the key pair from round columns or a RoundRecord list.
 
     BB84 keeps basis-matched message rounds, the asymmetric variant
     keeps computational-basis ones, and the two-way protocols keep every
     non-lost message round (no basis reconciliation).  Disclosed rounds
     are excluded.
     """
-    alice = []
-    bob = []
-    for rec in _key_rounds(protocol, rounds):
-        alice.append(str(alice_intent_bit(protocol, rec)))
-        bob.append(str(bob_decoded_bit(protocol, rec)))
-    return "".join(alice), "".join(bob)
+    cols = _as_columns(rounds)
+    key = _sift_mask(protocol, cols) & ~cols.disclosed
+    return (_bit_string(_alice_bits(protocol, cols)[key]),
+            _bit_string(_bob_bits(protocol, cols)[key]))
 
 
-def _cm_check(protocol: ProtocolKind, rec: RoundRecord) -> tuple[bool, bool]:
-    """(valid, failed) for a control-mode record."""
-    if rec.lost or rec.mode is not RoundMode.CONTROL:
-        return False, False
+def _cm_check(protocol: ProtocolKind, cols: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, failed) masks of the control-mode checks."""
+    live = cols.cm & ~cols.lost
     if protocol is ProtocolKind.LM05:
-        if rec.action.basis is not rec.prep.basis:
-            return False, False
-        return True, rec.action.bit != rec.prep.bit
+        return live & (cols.act_basis == cols.prep_basis), cols.act_bit != cols.prep_bit
     if protocol is ProtocolKind.PING_PONG:
-        return True, rec.bob_result == rec.action.bit
+        return live, cols.result == cols.act_bit
     if protocol is ProtocolKind.MCAS_BB84:
-        if rec.bob_basis is not Basis.X:
-            return False, False
-        return True, rec.bob_result != rec.prep.bit
-    return False, False
+        return live & (cols.bob_basis == 1), cols.result != cols.prep_bit
+    return np.zeros_like(live), np.zeros_like(live)
 
 
 def estimate_disturbance(protocol: ProtocolKind, rounds) -> DisturbanceEstimate:
     """Flip rates from the disclosed message sample and the control checks."""
-    n_mm = 0
-    mm_fail = 0
-    for rec in rounds:
-        if rec.disclosed and not rec.lost:
-            n_mm += 1
-            if bob_decoded_bit(protocol, rec) != alice_intent_bit(protocol, rec):
-                mm_fail += 1
-    n_cm = 0
-    cm_fail = 0
-    for rec in rounds:
-        valid, failed = _cm_check(protocol, rec)
-        if valid:
-            n_cm += 1
-            if failed:
-                cm_fail += 1
+    cols = _as_columns(rounds)
+    sample = cols.disclosed & ~cols.lost
+    n_mm = int(np.count_nonzero(sample))
+    mm_fail = int(np.count_nonzero(
+        sample & (_alice_bits(protocol, cols) != _bob_bits(protocol, cols))))
+    valid, failed = _cm_check(protocol, cols)
+    n_cm = int(np.count_nonzero(valid))
+    cm_fail = int(np.count_nonzero(valid & failed))
     d_mm = mm_fail / n_mm if n_mm else None
     d_cm = cm_fail / n_cm if n_cm else None
     half_width = binomial_half_width_95(d_cm, n_cm) if d_cm is not None else 0.0
@@ -298,107 +404,180 @@ def abort_decision(est: DisturbanceEstimate, cfg: SessionConfig) -> bool:
     return _abort_reason(est, cfg) is not None
 
 
-def _run_one_way_round(cfg, idx, rng, eve, fwd_legs) -> RoundRecord:
+# ---------------------------------------------------------------- kernels
+
+class _Draws:
+    """Bulk draws for one session, n rounds at a time, from its rng.
+
+    A uniform is a 53-bit integer k taken from ``randbytes``, standing
+    for u = k / 2**53 as in ``random.random``.  A Bernoulli(p) is u < p,
+    evaluated exactly as k < ceil(p * 2**53), so p = 0 never fires and
+    p = 1 always does; a constant p of 0 or 1 draws nothing.  ``p`` may
+    be a per-round array.
+    """
+
+    def __init__(self, rng: random.Random, n: int):
+        self._rng = rng
+        self.n = n
+
+    def bits(self) -> np.ndarray:
+        raw = np.frombuffer(self._rng.randbytes((self.n + 7) // 8), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.n, bitorder="little")
+
+    def bernoulli(self, p) -> np.ndarray:
+        if np.ndim(p) == 0 and p in (0.0, 1.0):
+            return np.full(self.n, p == 1.0)
+        k = np.frombuffer(self._rng.randbytes(8 * self.n), dtype="<u8") >> 11
+        return k < np.ceil(np.multiply(p, _TWO_POW_53)).astype(np.uint64)
+
+
+def _traverse(draws: _Draws, spec: ChannelSpec, legs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Survival and net bit flip of the carriers over ``legs`` channel legs.
+
+    Each leg passes with probability t and flips with probability f, so
+    all legs pass with probability t**legs and an odd number of flips
+    happens with probability (1 - (1 - 2f)**legs) / 2.
+    """
+    alive = draws.bernoulli(spec.transmittance_per_leg ** legs)
+    flip = draws.bernoulli((1.0 - (1.0 - 2.0 * spec.flip_prob) ** legs) / 2.0)
+    return alive, flip
+
+
+def _measure(draws: _Draws, basis, carrier_basis, carrier_bit) -> np.ndarray:
+    """Outcomes in ``basis``: the carrier bit on a basis match, else a fair coin."""
+    return np.where(carrier_basis == basis, carrier_bit, draws.bits())
+
+
+def _engaged(attack: AttackSpec, draws: _Draws) -> np.ndarray:
+    if attack.kind is AttackKind.NO_ATTACK:
+        return np.zeros(draws.n, dtype=bool)
+    return draws.bernoulli(attack.presence)
+
+
+def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit, eve_bit):
+    """The outgoing-leg hooks that act on a single photon in place.
+
+    Intercept-resend measures in its policy basis (Z for the mcas
+    variant) and re-emits the eigenstate it found, keeping the outcome.
+    The probe attack keeps a computational carrier with probability f0
+    and a diagonal one with probability f_plus and flips it otherwise,
+    the carrier's reduced state under the probe isometry.  Returns the
+    carrier's (basis, bit) columns; ``eve_bit`` is filled in place.
+    """
+    kind = attack.kind
+    if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.MITM_MCAS_X):
+        if kind is AttackKind.MITM_MCAS_X or attack.basis_policy is BasisPolicy.FIXED_Z:
+            eve_basis = np.zeros(draws.n, dtype=np.uint8)
+        elif attack.basis_policy is BasisPolicy.FIXED_X:
+            eve_basis = np.ones(draws.n, dtype=np.uint8)
+        else:
+            eve_basis = draws.bits()
+        outcome = _measure(draws, eve_basis, basis, bit)
+        eve_bit[eve] = outcome[eve]
+        return np.where(eve, eve_basis, basis), np.where(eve, outcome, bit)
+    if kind is AttackKind.ANCILLA_UBE:
+        keep = draws.bernoulli(np.where(basis == 0, attack.f0, attack.f_plus))
+        return basis, bit ^ (eve & ~keep)
+    return basis, bit
+
+
+def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
+    n = draws.n
     if cfg.protocol is ProtocolKind.BB84:
-        mode = RoundMode.MESSAGE
-        basis = _BASES[rng.randrange(2)]
+        cm = np.zeros(n, dtype=bool)
+        prep_basis = draws.bits()
     else:
-        mode = RoundMode.CONTROL if rng.random() < cfg.cm_fraction else RoundMode.MESSAGE
-        basis = Basis.X if mode is RoundMode.CONTROL else Basis.Z
-    prep = canon_for(basis, rng.randrange(2))
-    eve.begin_round(idx, cfg.attack, rng)
-    carrier = prepare(prep)
-    carrier_basis = basis
-    carrier = intervene_forward(cfg.attack, eve, carrier, rng)
-    if eve.engaged and eve.emitted_basis is not None:
-        carrier_basis = eve.emitted_basis
-    for _ in range(fwd_legs):
-        carrier = transmit(carrier, carrier_basis, cfg.channel, rng)
-        if carrier is None:
-            break
-    if carrier is None:
-        eve.commit_round(mode is RoundMode.MESSAGE)
-        return RoundRecord(idx, mode, prep, None, None, None, True, eve.engaged)
-    bob_basis = _BASES[rng.randrange(2)]
-    outcome, _ = measure(carrier, bob_basis, rng)
-    eve.commit_round(mode is RoundMode.MESSAGE)
-    return RoundRecord(idx, mode, prep, None, bob_basis, outcome, False, eve.engaged)
+        # Control rounds are the diagonal-basis rounds.
+        cm = draws.bernoulli(cfg.cm_fraction)
+        prep_basis = cm.astype(np.uint8)
+    prep_bit = draws.bits()
+    eve = _engaged(cfg.attack, draws)
+    eve_bit = np.full(n, -1, dtype=np.int8)
+    basis, bit = _forward_attack(cfg.attack, draws, eve, prep_basis, prep_bit, eve_bit)
+    alive, flip = _traverse(draws, cfg.channel, cfg.resolved_legs)
+    bob_basis = draws.bits()
+    result = _measure(draws, bob_basis, basis, bit ^ flip)
+    zeros = np.zeros(n, dtype=np.uint8)
+    return RoundColumns(cm, prep_basis, prep_bit, np.zeros(n, dtype=bool), zeros, zeros,
+                        bob_basis, result, ~alive, eve, eve_bit, np.zeros(n, dtype=bool))
 
 
-def _run_lm05_round(cfg, idx, rng, eve, fwd_legs, bwd_legs) -> RoundRecord:
-    prep = _CANON[rng.randrange(4)]
-    mode = RoundMode.CONTROL if rng.random() < cfg.cm_fraction else RoundMode.MESSAGE
-    eve.begin_round(idx, cfg.attack, rng)
-    carrier = prepare(prep)
-    carrier_basis = prep.basis
-    carrier = intervene_forward(cfg.attack, eve, carrier, rng)
-    if eve.engaged and eve.emitted_basis is not None:
-        carrier_basis = eve.emitted_basis
-    for _ in range(fwd_legs):
-        carrier = transmit(carrier, carrier_basis, cfg.channel, rng)
-        if carrier is None:
-            break
-    if carrier is None:
-        eve.commit_round(mode is RoundMode.MESSAGE)
-        return RoundRecord(idx, mode, prep, None, None, None, True, eve.engaged)
-    if mode is RoundMode.MESSAGE:
-        encoding = Encoding.from_bit(rng.randrange(2))
-        carrier = apply_encoding(carrier, encoding)
-        action: Encoding | Announcement = encoding
-    else:
-        cm_basis = _BASES[rng.randrange(2)]
-        cm_bit, _ = measure(carrier, cm_basis, rng)
-        action = Announcement(cm_basis, cm_bit)
-        carrier = prepare(canon_for(cm_basis, cm_bit))
-        carrier_basis = cm_basis
-    for _ in range(bwd_legs):
-        carrier = transmit(carrier, carrier_basis, cfg.channel, rng)
-        if carrier is None:
-            break
-    if carrier is None:
-        eve.commit_round(mode is RoundMode.MESSAGE)
-        return RoundRecord(idx, mode, prep, action, None, None, True, eve.engaged)
-    carrier = intervene_backward(cfg.attack, eve, carrier, rng)
-    outcome, _ = measure(carrier, prep.basis, rng)
-    eve.commit_round(mode is RoundMode.MESSAGE)
-    return RoundRecord(idx, mode, prep, action, None, outcome, False, eve.engaged)
+def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
+    n = draws.n
+    legs = cfg.resolved_legs
+    prep_basis, prep_bit = draws.bits(), draws.bits()
+    cm = draws.bernoulli(cfg.cm_fraction)
+    attack = cfg.attack
+    copy = attack.kind is AttackKind.MITM_LM05
+    eve = _engaged(attack, draws)
+    eve_bit = np.full(n, -1, dtype=np.int8)
+    basis, bit = _forward_attack(attack, draws, eve, prep_basis, prep_bit, eve_bit)
+    if copy:
+        # Eve parks the genuine carrier and sends a random decoy instead.
+        decoy_basis, decoy_bit = draws.bits(), draws.bits()
+        basis = np.where(eve, decoy_basis, basis)
+        bit = np.where(eve, decoy_bit, bit)
+    alive_fwd, flip = _traverse(draws, cfg.channel, legs // 2)
+    bit = bit ^ flip
+    # Message rounds apply I or iY (iY toggles the bit in either basis);
+    # control rounds measure in a random basis, announce and re-prepare.
+    encoding = draws.bits()
+    cm_basis = draws.bits()
+    cm_bit = _measure(draws, cm_basis, basis, bit)
+    bit = np.where(cm, cm_bit, bit ^ encoding)
+    basis = np.where(cm, cm_basis, basis)
+    alive_bwd, flip = _traverse(draws, cfg.channel, legs - legs // 2)
+    bit = bit ^ flip
+    if copy:
+        # She reads the encoding off the returned decoy and replays it
+        # onto the stored carrier, which travels no further fiber.
+        inferred = _measure(draws, decoy_basis, basis, bit) ^ decoy_bit
+        eve_bit[eve] = inferred[eve]
+        basis = np.where(eve, prep_basis, basis)
+        bit = np.where(eve, prep_bit ^ inferred, bit)
+    result = _measure(draws, prep_basis, basis, bit)
+    return RoundColumns(cm, prep_basis, prep_bit, alive_fwd, cm_basis,
+                        np.where(cm, cm_bit, encoding), np.zeros(n, dtype=np.uint8), result,
+                        ~(alive_fwd & alive_bwd), eve, eve_bit, np.zeros(n, dtype=bool))
 
 
-def _run_pp_round(cfg, idx, rng, eve, fwd_legs, bwd_legs) -> RoundRecord:
-    prep = BellLabel.PSI_MINUS
-    mode = RoundMode.CONTROL if rng.random() < cfg.cm_fraction else RoundMode.MESSAGE
-    eve.begin_round(idx, cfg.attack, rng)
-    flying = intervene_forward(cfg.attack, eve, prep, rng)
-    for _ in range(fwd_legs):
-        flying = transmit_bell(flying, cfg.channel, rng)
-        if flying is None:
-            break
-    if flying is None:
-        eve.commit_round(mode is RoundMode.MESSAGE)
-        return RoundRecord(idx, mode, prep, None, None, None, True, eve.engaged)
-    if mode is RoundMode.MESSAGE:
-        encoding = Encoding.from_bit(rng.randrange(2))
-        flying = pp_encode(flying, encoding)
-        for _ in range(bwd_legs):
-            flying = transmit_bell(flying, cfg.channel, rng)
-            if flying is None:
-                break
-        if flying is None:
-            eve.commit_round(True)
-            return RoundRecord(idx, mode, prep, encoding, None, None, True, eve.engaged)
-        flying = intervene_backward(cfg.attack, eve, flying, rng)
-        result: int | BellLabel = bell_measure(flying)
-        eve.commit_round(True)
-        return RoundRecord(idx, mode, prep, encoding, None, result, False, eve.engaged)
+def _pp_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
+    """Ping-pong over pair label bits.
+
+    The copy attack needs no columns of its own: the decoy is a fresh
+    source pair, so the label Eve reads off it on the way back is the
+    encoding plus the channel toggles, and replaying that onto the
+    stored genuine pair hands the preparer the very same label.
+    """
+    n = draws.n
+    legs = cfg.resolved_legs
+    cm = draws.bernoulli(cfg.cm_fraction)
+    eve = _engaged(cfg.attack, draws)
+    alive_fwd, flip_fwd = _traverse(draws, cfg.channel, legs // 2)
+    encoding = draws.bits()
+    alive_bwd, flip_bwd = _traverse(draws, cfg.channel, legs - legs // 2)
+    label = encoding ^ flip_fwd ^ flip_bwd
     # Control mode: the encoder measures her received photon in Z and
     # announces; the preparer measures his stored pair half in Z.  A
     # genuine pair anticorrelates (either label); with a decoy in the
     # line the two halves belong to different pairs and are independent.
-    alice_bit = rng.randrange(2)
-    bob_bit = rng.randrange(2) if eve.engaged else 1 - alice_bit
-    eve.commit_round(False)
-    return RoundRecord(idx, mode, prep, Announcement(Basis.Z, alice_bit), None,
-                       bob_bit, False, eve.engaged)
+    alice_bit = draws.bits()
+    bob_bit = np.where(eve, draws.bits(), 1 - alice_bit)
+    eve_bit = np.full(n, -1, dtype=np.int8)
+    copied = eve & ~cm
+    eve_bit[copied] = label[copied]
+    zeros = np.zeros(n, dtype=np.uint8)
+    return RoundColumns(cm, zeros, zeros, alive_fwd, zeros, np.where(cm, alice_bit, encoding),
+                        zeros, np.where(cm, bob_bit, label), ~alive_fwd | (~cm & ~alive_bwd),
+                        eve, eve_bit, np.zeros(n, dtype=bool))
+
+
+_KERNELS = {
+    ProtocolKind.BB84: _one_way_kernel,
+    ProtocolKind.MCAS_BB84: _one_way_kernel,
+    ProtocolKind.LM05: _lm05_kernel,
+    ProtocolKind.PING_PONG: _pp_kernel,
+}
 
 
 def run_session(cfg: SessionConfig) -> Transcript:
@@ -407,73 +586,63 @@ def run_session(cfg: SessionConfig) -> Transcript:
     Deterministic given the seed: replaying a config reproduces the
     transcript bit for bit.
     """
-    rng = random.Random(cfg.seed)
-    eve = EveState(cfg.attack)
-    legs = cfg.resolved_legs
-    records: list[RoundRecord] = []
-    if cfg.protocol.is_two_way:
-        fwd_legs = legs // 2
-        bwd_legs = legs - fwd_legs
-        if cfg.protocol is ProtocolKind.LM05:
-            for idx in range(cfg.n_rounds):
-                records.append(_run_lm05_round(cfg, idx, rng, eve, fwd_legs, bwd_legs))
-        else:
-            for idx in range(cfg.n_rounds):
-                records.append(_run_pp_round(cfg, idx, rng, eve, fwd_legs, bwd_legs))
-    else:
-        for idx in range(cfg.n_rounds):
-            records.append(_run_one_way_round(cfg, idx, rng, eve, legs))
-
-    if all(r.lost for r in records):
+    draws = _Draws(random.Random(cfg.seed), cfg.n_rounds)
+    cols = _KERNELS[cfg.protocol](cfg, draws)
+    if cols.lost.all():
         est = DisturbanceEstimate(None, None, 0, 0, 0.0)
-        return Transcript(cfg, records, "", "", "", est, True, "no-yield")
+        return Transcript(cfg, cols, "", "", "", est, True, "no-yield")
 
     # Disclose a sample of the sifted bits for the message-mode estimate;
     # disclosed rounds are dropped from the key.
-    for rec in records:
-        if _sift_keep(cfg.protocol, rec):
-            rec.disclosed = rng.random() < DISCLOSE_FRACTION
+    keep = _sift_mask(cfg.protocol, cols)
+    cols.disclosed = keep & draws.bernoulli(DISCLOSE_FRACTION)
 
-    alice_key, bob_key = sift(cfg.protocol, records)
-    eve_key = "".join(
-        str(eve.copied_bits[r.index]) if r.index in eve.copied_bits else "?"
-        for r in _key_rounds(cfg.protocol, records))
-    est = estimate_disturbance(cfg.protocol, records)
+    alice_key, bob_key = sift(cfg.protocol, cols)
+    eve_bits = cols.eve_bit[keep & ~cols.disclosed]
+    eve_key = np.where(eve_bits < 0, ord("?"), eve_bits + ord("0")).astype(np.uint8)
+    est = estimate_disturbance(cfg.protocol, cols)
     reason = _abort_reason(est, cfg)
-    return Transcript(cfg, records, alice_key, bob_key, eve_key, est,
-                      reason is not None, reason)
+    return Transcript(cfg, cols, alice_key, bob_key, eve_key.tobytes().decode("ascii"),
+                      est, reason is not None, reason)
 
 
-def _serialize_action(action) -> str:
-    if action is None:
-        return ""
-    if isinstance(action, Encoding):
-        return action.value
-    return f"{action.basis.value}:{action.bit}"
+# ---------------------------------------------------------------- transcript CSV
 
-
-def _serialize_result(result) -> str:
-    if result is None:
-        return ""
-    if isinstance(result, BellLabel):
-        return result.value
-    return str(result)
+_HEADER = "index,mode,prep,action,result,lost,eve_touched\n"
+# Text of each field after the index, by field code.  prep: 2 * basis + bit,
+# or 4 for a ping-pong pair.  action: 0 none, 1 + bit an encoding,
+# 3 + 2 * basis + bit an announcement.  result: 0 none, 1 + bit a
+# measured bit, 3 + bit a pair label.
+_FIELD_TEXT = (
+    tuple(m.value for m in (RoundMode.MESSAGE, RoundMode.CONTROL)),
+    tuple(s.value for s in _CANON) + (_LABELS[0].value,),
+    ("",) + tuple(e.value for e in _ENCODINGS)
+    + tuple(f"{b.value}:{bit}" for b in _BASES for bit in (0, 1)),
+    ("", "0", "1") + tuple(label.value for label in _LABELS),
+    ("false", "true"),
+    ("false", "true"),
+)
 
 
 def write_transcript_csv(transcript: Transcript, fileobj) -> None:
-    """One round per line: index, mode, prep, action, result, lost, eve_touched."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["index", "mode", "prep", "action", "result", "lost", "eve_touched"])
-    for rec in transcript.rounds:
-        writer.writerow([
-            rec.index,
-            rec.mode.value,
-            rec.prep.value,
-            _serialize_action(rec.action),
-            _serialize_result(rec.bob_result),
-            "true" if rec.lost else "false",
-            "true" if rec.eve_touched else "false",
-        ])
+    """One round per line: index, mode, prep, action, result, lost, eve_touched.
+
+    A session has few distinct combinations of the fields after the
+    index, so each distinct row tail is rendered once and shared.
+    """
+    cols = transcript.columns
+    pp = transcript.config.protocol is ProtocolKind.PING_PONG
+    prep = np.full(len(cols.cm), 4) if pp else 2 * cols.prep_basis + cols.prep_bit
+    action = cols.acted * np.where(cols.cm, 3 + 2 * cols.act_basis + cols.act_bit,
+                                   1 + cols.act_bit)
+    result = ~cols.lost * (1 + cols.result + 2 * (pp & ~cols.cm))
+    fields = [f.astype(np.intp) for f in (cols.cm, prep, action, result, cols.lost, cols.eve)]
+    code = np.ravel_multi_index(fields, [len(text) for text in _FIELD_TEXT])
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    tails = [",".join(text[field[i]] for text, field in zip(_FIELD_TEXT, fields))
+             for i in first.tolist()]
+    fileobj.write(_HEADER)
+    fileobj.writelines(f"{i},{tails[k]}\n" for i, k in enumerate(inverse.tolist()))
 
 
 def transcript_csv(transcript: Transcript) -> str:

@@ -421,7 +421,7 @@ class TestAncillaInteraction:
 
     def test_session_with_ancilla_attack_runs(self):
         cfg = SessionConfig(
-            protocol=ProtocolKind.LM05, n_rounds=2000, seed=48,
+            protocol=ProtocolKind.LM05, n_rounds=20000, seed=48,
             channel=ChannelSpec.for_protocol(ProtocolKind.LM05),
             attack=AttackSpec(AttackKind.ANCILLA_UBE, 1.0, f0=1.0, f_plus=0.5))
         transcript = run_session(cfg)

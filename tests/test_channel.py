@@ -73,8 +73,13 @@ class TestPathTransmittance:
             path_transmittance(0.9, "not-a-protocol")
 
     def test_range_rejected(self):
-        with pytest.raises(ValueError):
-            path_transmittance(0.0, ProtocolKind.BB84)
+        for t_leg in (-0.1, 1.1):
+            with pytest.raises(ValueError):
+                path_transmittance(t_leg, ProtocolKind.BB84)
+
+    def test_opaque_leg_gives_zero(self):
+        for protocol in ProtocolKind:
+            assert path_transmittance(0.0, protocol) == 0.0
 
 
 class TestTransmit:

@@ -277,3 +277,37 @@ class TestCli:
         assert main(["run", str(cfg), "--seed", "99",
                      "--out", str(tmp_path / "y")]) == 0
         assert (tmp_path / "y" / "summary.csv").exists()
+
+
+class TestTableEdgeCases:
+    @pytest.mark.parametrize("n_rounds", range(1, 11))
+    def test_short_sessions_run_clean(self, tmp_path, capsys, n_rounds):
+        """BB84 may disclose no bit in a very short session; its d_mm and
+        the cells derived from it are reported as nan, not a traceback."""
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("\n".join([
+            "[scenario]", "name = table1", "seed = 8", f"out_dir = {tmp_path / 'out'}",
+            "[session]", f"n_rounds = {n_rounds}", "",
+        ]))
+        assert main(["run", str(cfg)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        with open(tmp_path / "out" / "table1.csv", newline="") as fh:
+            bb84 = next(csv.DictReader(fh))
+        if bb84["d_mm"] == "nan":
+            assert bb84["i_ab"] == bb84["i_ae"] == "nan"
+
+    def test_underflowing_link(self, tmp_path, capsys):
+        """0.2 dB/km over 20000 km underflows the leg transmittance to 0."""
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("\n".join([
+            "[scenario]", "name = table1", "seed = 9", f"out_dir = {tmp_path / 'out'}",
+            "[session]", "n_rounds = 200",
+            "[channel]", "alpha_db_per_km = 0.2", "distance_km = 20000", "",
+        ]))
+        assert main(["run", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "table1.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["transmittance"]) for r in rows] == [0.0] * 4
+        assert [float(r["photon_distance_km"]) for r in rows] == [20000.0, 80000.0,
+                                                                   40000.0, 20000.0]
