@@ -36,6 +36,7 @@ from .infotheory import (
 )
 from .kinds import ProtocolKind
 from .postproc import (
+    MAX_HASH_INPUT_BITS,
     NO_PRIVACY_REASON,
     HashSpec,
     choose_output_length,

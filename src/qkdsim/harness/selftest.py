@@ -15,13 +15,23 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
+
+import numpy as np
 
 from ..adversary import AttackKind, AttackSpec, BasisPolicy, eve_accuracy, xi_from_fidelities
 from ..channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for, path_transmittance
 from ..infotheory import binary_entropy, build_curve, critical_disturbance, key_rate_rpa
 from ..kinds import ProtocolKind
-from ..postproc import choose_output_length, privacy_amplify, random_hash_spec, universal_hash
+from ..postproc import (
+    HashSpec,
+    _bit_array,
+    _toeplitz_parity,
+    choose_output_length,
+    privacy_amplify,
+    random_hash_spec,
+    universal_hash,
+)
 from ..protocol import RoundMode, SessionConfig, alice_intent_bit, bob_decoded_bit, run_session
 from .scenario import Scenario, SweepParams, run_scenario
 
@@ -295,11 +305,26 @@ def _check_pa_futility() -> CheckResult:
     # With any positive output length, hashing Eve's copy with the public
     # spec reproduces the secret key exactly.
     secret, spec = privacy_amplify(transcript.alice_key, 0.5, 32, random.Random(_SEED))
-    eve_secret = universal_hash(transcript.eve_key, spec)
-    leak_ok = spec.output_len > 0 and eve_secret == secret
+    leak_ok = (copy_ok and spec.output_len > 0
+               and universal_hash(transcript.eve_key, spec) == secret)
     ok = copy_ok and blocked_ok and leak_ok
     return CheckResult(ok, f"copied key exact={copy_ok}, k(eve_info=1)={zero_k}, "
                            f"k={spec.output_len} and Eve's hash matches={leak_ok}")
+
+
+def _bit_rows(values: Iterable[int], width: int) -> np.ndarray:
+    """uint8 bit rows of shape (len(values), width), as f"{v:0{width}b}" spells them."""
+    nbytes = (width + 7) // 8
+    packed = b"".join(v.to_bytes(nbytes, "big") for v in values)
+    raw = np.frombuffer(packed, dtype=np.uint8).reshape(-1, nbytes)
+    return np.unpackbits(raw, axis=1)[:, nbytes * 8 - width:]
+
+
+def _hash_rows(seeds: np.ndarray, xs: np.ndarray, m: int, k: int,
+               chunk: int = 10000) -> np.ndarray:
+    """The batch hash kernel over row chunks, bounding its FFT buffers."""
+    return np.concatenate([_toeplitz_parity(seeds[i:i + chunk], xs[i:i + chunk], m, k)
+                           for i in range(0, len(xs), chunk)])
 
 
 def _check_hash_properties() -> CheckResult:
@@ -309,28 +334,33 @@ def _check_hash_properties() -> CheckResult:
     x = f"{rng.getrandbits(m):0{m}b}"
     determinism = universal_hash(x, spec) == universal_hash(x, spec)
 
-    linear = True
-    for _ in range(10000):
-        a = rng.getrandbits(m)
-        b = rng.getrandbits(m)
-        ha = int(universal_hash(f"{a:0{m}b}", spec), 2) if k else 0
-        hb = int(universal_hash(f"{b:0{m}b}", spec), 2)
-        hx = int(universal_hash(f"{a ^ b:0{m}b}", spec), 2)
-        if hx != ha ^ hb:
-            linear = False
-            break
+    pairs = [(rng.getrandbits(m), rng.getrandbits(m)) for _ in range(10000)]
+    a, b = (_bit_rows(column, m) for column in zip(*pairs))
+    seed = np.broadcast_to(_bit_array(spec.seed_bits), (len(pairs), m + k - 1))
+    ha, hb, hx = (_hash_rows(seed, rows, m, k) for rows in (a, b, a ^ b))
+    linear = bool(np.array_equal(hx, ha ^ hb))
 
-    collisions = 0
+    trials = []
     for _ in range(100000):
-        trial_spec = random_hash_spec(m, k, rng)
-        a = rng.getrandbits(m)
-        b = rng.getrandbits(m)
-        while b == a:
-            b = rng.getrandbits(m)
-        if universal_hash(f"{a:0{m}b}", trial_spec) == universal_hash(f"{b:0{m}b}", trial_spec):
-            collisions += 1
-    ok = determinism and linear and collisions == 0
-    return CheckResult(ok, f"deterministic={determinism}, linear on 10^4 triples={linear}, "
+        diagonals = rng.getrandbits(m + k - 1)  # the draw random_hash_spec makes
+        xa = rng.getrandbits(m)
+        xb = rng.getrandbits(m)
+        while xb == xa:
+            xb = rng.getrandbits(m)
+        trials.append((diagonals, xa, xb))
+    diagonals, xa, xb = zip(*trials)
+    seeds = _bit_rows(diagonals, m + k - 1)
+    ha = _hash_rows(seeds, _bit_rows(xa, m), m, k)
+    hb = _hash_rows(seeds, _bit_rows(xb, m), m, k)
+    collisions = int(np.all(ha == hb, axis=1).sum())
+    # The batch must agree with universal_hash on a sample of the trials.
+    agree = all(
+        universal_hash(f"{xa[i]:0{m}b}", HashSpec(m, k, f"{diagonals[i]:0{m + k - 1}b}"))
+        == "".join(map(str, ha[i]))
+        for i in range(0, len(trials), 1000))
+    ok = determinism and agree and linear and collisions == 0
+    return CheckResult(ok, f"deterministic={determinism}, batch agrees={agree}, "
+                           f"linear on 10^4 triples={linear}, "
                            f"collisions={collisions}/10^5 at k=32")
 
 

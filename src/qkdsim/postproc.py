@@ -7,6 +7,11 @@ m + k - 1 seed bits.  Distinct inputs collide with probability at most
 2^-k under a uniformly drawn seed, which is what both the equality check
 and the extraction step rely on.
 
+The matrix-vector product is a convolution of the seed with the input,
+evaluated by real FFTs in O((m + k) log(m + k)) time and rounded back to
+integers before taking parities.  float64 keeps that rounding exact up
+to ``MAX_HASH_INPUT_BITS`` input bits; longer inputs are rejected.
+
 ``choose_output_length`` is a policy stub, not a security proof: the
 leaked fraction must be supplied externally (for the copy attack it is
 the coverage estimate 2 * D_CM).  With full leakage it returns zero,
@@ -23,6 +28,9 @@ import numpy as np
 NO_PRIVACY_REASON = "no-extractable-privacy"
 
 DEFAULT_SAFETY_BITS = 32
+
+# Largest input length m that universal_hash accepts (see its docstring).
+MAX_HASH_INPUT_BITS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -66,22 +74,54 @@ def _bit_string(arr: np.ndarray) -> str:
     return (arr.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
+def _toeplitz_parity(seeds: np.ndarray, xs: np.ndarray, m: int, k: int) -> np.ndarray:
+    """Toeplitz hashes of a batch of rows: (B, k) uint8 output bits.
+
+    ``seeds`` holds uint8 diagonal rows of shape (B, m + k - 1) and
+    ``xs`` uint8 input bits of shape (B, m).  Output bit i of a row is
+    entry m - 1 + i of the linear convolution seed * x, mod 2.  The
+    circular convolution of length n >= m + k - 1 adds entry
+    m - 1 + i + n to it, which lies beyond the last linear entry
+    2m + k - 3, so no padding to the full linear length is needed.
+    """
+    n = 1 << (m + k - 2).bit_length()
+    spectrum = np.fft.rfft(seeds, n) * np.fft.rfft(xs, n)
+    conv = np.fft.irfft(spectrum, n)[..., m - 1:m - 1 + k]
+    return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
+
+
 def universal_hash(x: str, spec: HashSpec) -> str:
     """Image of x under the matrix defined by spec, arithmetic mod 2.
 
-    The matrix-vector product is a convolution of the seed diagonals
-    with the input, so row i of the output is the parity of the input
-    masked by diagonal window i.
+    Row i of the output is the parity of the input masked by diagonal
+    window i.  Raises ValueError when x is not a '0'/'1' string of
+    length ``spec.input_len`` or is longer than ``MAX_HASH_INPUT_BITS``.
+
+    Exactness: the convolution values are integers in [0, m].  The
+    float64 FFT error on them is of order eps * |seed| * |x| * log2(n)
+    with Euclidean norms, and for 0/1 rows |seed| * |x| <= sqrt(2) * m,
+    so every value rounds to the right integer while that stays well
+    below 1/2.  At the cap m = 2^24 (n <= 2^25) it is about
+    2^-53 * sqrt(2) * 2^24 * 25, below 1e-7.  Measured with numpy's
+    pocketfft, the largest distance to the nearest integer was 0.0 for
+    all-ones inputs at m = 2^23 (k = 1), where every output equals m, at
+    most 1.2e-10 for random inputs at m = 2^21 (k = 1, m/2, m), and 0.0
+    for a random input at m = 2^24 (k = 1).  A 1e7-round session's key
+    of about 7e6 bits lies below the cap.
     """
     if len(x) != spec.input_len:
         raise ValueError(f"input length {len(x)} != spec input_len {spec.input_len}")
+    if spec.input_len > MAX_HASH_INPUT_BITS:
+        raise ValueError(f"input length {spec.input_len} exceeds "
+                         f"MAX_HASH_INPUT_BITS = {MAX_HASH_INPUT_BITS}")
+    vec = _bit_array(x)
+    if vec.max() > 1:
+        raise ValueError("x must contain only '0' and '1'")
     if spec.output_len == 0:
         return ""
-    seed = _bit_array(spec.seed_bits).astype(np.int64)
-    vec = _bit_array(x).astype(np.int64)
-    full = np.convolve(seed, vec)
-    m = spec.input_len
-    return _bit_string(full[m - 1:m - 1 + spec.output_len] & 1)
+    seed = _bit_array(spec.seed_bits)
+    bits = _toeplitz_parity(seed[None], vec[None], spec.input_len, spec.output_len)
+    return _bit_string(bits[0])
 
 
 def verify(fx: str, fy: str) -> bool:

@@ -2,10 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from qkdsim.postproc import (
+    MAX_HASH_INPUT_BITS,
     HashSpec,
+    _toeplitz_parity,
     choose_output_length,
     ec_verify,
     privacy_amplify,
@@ -29,6 +32,21 @@ def hash_oracle(x, spec):
 
 def random_bits(rng, n):
     return f"{rng.getrandbits(n):0{n}b}" if n else ""
+
+
+def bit_rows(strings):
+    """uint8 rows of a sequence of equal-length '0'/'1' strings."""
+    strings = list(strings)
+    return np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(
+        len(strings), -1) - ord("0")
+
+
+def convolve_oracle(x, spec):
+    """Direct convolution: its valid part is entries m - 1 .. m + k - 2 of seed * x."""
+    seed = bit_rows([spec.seed_bits])[0].astype(np.float64)
+    vec = bit_rows([x])[0].astype(np.float64)
+    full = np.convolve(seed, vec, "valid")
+    return "".join(map(str, full.astype(np.int64) & 1))
 
 
 class TestHashSpec:
@@ -82,13 +100,48 @@ class TestUniversalHash:
         """hash(x xor y) = hash(x) xor hash(y) for the matrix family."""
         rng = random.Random(6)
         m, k = 64, 32
-        for _ in range(2000):
+        trials = [(random_hash_spec(m, k, rng), random_bits(rng, m), random_bits(rng, m))
+                  for _ in range(2000)]
+        specs, xs, ys = zip(*trials)
+        seeds, a, b = bit_rows(s.seed_bits for s in specs), bit_rows(xs), bit_rows(ys)
+        ha, hb, hxor = (_toeplitz_parity(seeds, rows, m, k) for rows in (a, b, a ^ b))
+        assert np.array_equal(hxor, ha ^ hb)
+
+    def test_batch_kernel_matches_universal_hash(self):
+        rng = random.Random(17)
+        for m, k in ((1, 1), (5, 3), (64, 32), (100, 100), (257, 1)):
+            specs = [random_hash_spec(m, k, rng) for _ in range(20)]
+            xs = [random_bits(rng, m) for _ in range(20)]
+            rows = _toeplitz_parity(bit_rows(s.seed_bits for s in specs), bit_rows(xs), m, k)
+            assert ["".join(map(str, r)) for r in rows] == [
+                universal_hash(x, s) for x, s in zip(xs, specs)]
+
+    @pytest.mark.parametrize("m", [1000, 4097, 20013])
+    def test_matches_direct_convolution(self, m):
+        rng = random.Random(m)
+        for k in (1, m // 2, m):
             spec = random_hash_spec(m, k, rng)
-            a, b = rng.getrandbits(m), rng.getrandbits(m)
-            ha = int(universal_hash(f"{a:0{m}b}", spec), 2)
-            hb = int(universal_hash(f"{b:0{m}b}", spec), 2)
-            hxor = int(universal_hash(f"{a ^ b:0{m}b}", spec), 2)
-            assert hxor == ha ^ hb
+            x = random_bits(rng, m)
+            assert universal_hash(x, spec) == convolve_oracle(x, spec)
+
+    def test_all_ones_closed_form(self):
+        """With every seed and input bit set, every convolution value is m,
+        so the FFT must round values of size 2^22 exactly: an error of one
+        would flip the output parity."""
+        m = 2 ** 22
+        assert universal_hash("1" * m, HashSpec(m, 1, "1" * m)) == "0"
+
+    def test_input_above_cap_rejected(self):
+        m = MAX_HASH_INPUT_BITS + 1
+        with pytest.raises(ValueError, match="MAX_HASH_INPUT_BITS"):
+            universal_hash("0" * m, HashSpec(m, 1, "0" * m))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("x", ["1?1 ", "1?11", "0120", "10/1", "10é1"])
+    def test_non_binary_input_rejected(self, x, k):
+        spec = random_hash_spec(4, k, random.Random(18))
+        with pytest.raises(ValueError):
+            universal_hash(x, spec)
 
 
 class TestVerify:
@@ -106,14 +159,21 @@ class TestVerify:
         """Universal family bound 2^-32: zero observed collisions over
         randomized unequal pairs."""
         rng = random.Random(7)
-        m = 64
+        m, k = 64, 32
+        trials = []
         for _ in range(20000):
-            spec = random_hash_spec(m, 32, rng)
+            spec = random_hash_spec(m, k, rng)
             a = rng.getrandbits(m)
             b = rng.getrandbits(m)
             while b == a:
                 b = rng.getrandbits(m)
-            assert universal_hash(f"{a:0{m}b}", spec) != universal_hash(f"{b:0{m}b}", spec)
+            trials.append((spec.seed_bits, f"{a:0{m}b}", f"{b:0{m}b}"))
+        seeds, xa, xb = (bit_rows(column) for column in zip(*trials))
+        for lo in range(0, len(trials), 10000):
+            chunk = slice(lo, lo + 10000)
+            ha = _toeplitz_parity(seeds[chunk], xa[chunk], m, k)
+            hb = _toeplitz_parity(seeds[chunk], xb[chunk], m, k)
+            assert not np.all(ha == hb, axis=1).any()
 
 
 class TestEcVerify:
@@ -136,6 +196,10 @@ class TestEcVerify:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ec_verify("101", "10", 8, random.Random(11))
+
+    def test_non_binary_key_rejected(self):
+        with pytest.raises(ValueError):
+            ec_verify("1?10", "1110", 4, random.Random(20))
 
 
 class TestOutputLengthPolicy:
