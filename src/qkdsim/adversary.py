@@ -96,7 +96,8 @@ class AttackSpec:
     """Which adversary runs, with presence fraction and parameters.
 
     The ancilla fidelities follow the symmetric convention: f0 covers
-    both computational states, f_plus both diagonal ones.
+    both computational states, f_plus both diagonal ones; their range is
+    checked for every kind.
     """
 
     kind: AttackKind = AttackKind.NO_ATTACK
@@ -108,10 +109,13 @@ class AttackSpec:
     def __post_init__(self):
         if not 0.0 <= self.presence <= 1.0:
             raise ValueError(f"presence out of [0, 1]: {self.presence!r}")
-        if self.kind is AttackKind.ANCILLA_UBE:
-            for name, value in (("f0", self.f0), ("f_plus", self.f_plus)):
-                if not MIN_FIDELITY <= value <= 1.0:
-                    raise ValueError(f"{name} out of [{MIN_FIDELITY}, 1]: {value!r}")
+        _check_fidelities(self.f0, self.f_plus)
+
+
+def _check_fidelities(f0: float, f_plus: float) -> None:
+    for name, value in (("f0", f0), ("f_plus", f_plus)):
+        if not MIN_FIDELITY <= value <= 1.0:
+            raise ValueError(f"{name} out of [{MIN_FIDELITY}, 1]: {value!r}")
 
 
 def xi_from_fidelities(f0: float, f_plus: float) -> float:
@@ -119,9 +123,7 @@ def xi_from_fidelities(f0: float, f_plus: float) -> float:
 
     Uses the identification c1^2 = 1 - f0 and c++^2 = f_plus.
     """
-    for name, value in (("f0", f0), ("f_plus", f_plus)):
-        if not MIN_FIDELITY <= value <= 1.0:
-            raise ValueError(f"{name} out of [{MIN_FIDELITY}, 1]: {value!r}")
+    _check_fidelities(f0, f_plus)
     return f_plus - (1.0 - f0)
 
 
@@ -138,9 +140,7 @@ class AncillaInteraction:
     """
 
     def __init__(self, f0: float, f_plus: float):
-        for name, value in (("f0", f0), ("f_plus", f_plus)):
-            if not MIN_FIDELITY <= value <= 1.0:
-                raise ValueError(f"{name} out of [{MIN_FIDELITY}, 1]: {value!r}")
+        _check_fidelities(f0, f_plus)
         self.f0 = f0
         self.f_plus = f_plus
         overlap = 2.0 * f_plus - 1.0

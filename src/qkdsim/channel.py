@@ -8,6 +8,7 @@ disturbance observable directly.  Lost photons only reduce yield; they
 never flip bits.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -51,16 +52,16 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Fiber attenuation coefficient and one-leg distance."""
+    """Fiber attenuation coefficient and one-leg distance, both finite."""
 
-    alpha_db_per_km: float
-    distance_km: float
+    alpha_db_per_km: float = 0.2
+    distance_km: float = 50.0
 
     def __post_init__(self):
-        if self.alpha_db_per_km < 0:
-            raise ValueError(f"alpha_db_per_km must be >= 0, got {self.alpha_db_per_km!r}")
-        if self.distance_km < 0:
-            raise ValueError(f"distance_km must be >= 0, got {self.distance_km!r}")
+        for name in ("alpha_db_per_km", "distance_km"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def leg_transmittance(budget: LinkBudget) -> float:

@@ -4,7 +4,6 @@ from .config import ConfigError, parse_config
 from .scenario import (
     Scenario,
     ScenarioResult,
-    SweepParams,
     bits_to_hex,
     child_seed,
     curve_svg,
@@ -18,7 +17,6 @@ __all__ = [
     "ConfigError",
     "Scenario",
     "ScenarioResult",
-    "SweepParams",
     "bits_to_hex",
     "child_seed",
     "curve_svg",

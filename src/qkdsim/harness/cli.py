@@ -11,17 +11,12 @@ import argparse
 import dataclasses
 import sys
 
-from ..adversary import AttackKind, BasisPolicy
+from ..adversary import AttackKind, AttackSpec, BasisPolicy
 from ..channel import ChannelSpec
 from ..kinds import ProtocolKind
+from ..protocol import DEFAULT_N_ROUNDS, SessionConfig
 from .config import ConfigError, parse_config
-from .scenario import (
-    DEFAULT_SWEEP_ROUNDS,
-    Scenario,
-    SweepParams,
-    parse_p_grid,
-    run_scenario,
-)
+from .scenario import Scenario, parse_p_grid, run_scenario
 from .selftest import run_selftest
 
 
@@ -56,7 +51,7 @@ def _build_parser() -> _Parser:
     sweep_p.add_argument("--protocol", required=True)
     sweep_p.add_argument("--attack", required=True)
     sweep_p.add_argument("--p-grid", required=True, metavar="A:B:N")
-    sweep_p.add_argument("--rounds", type=int, default=DEFAULT_SWEEP_ROUNDS)
+    sweep_p.add_argument("--rounds", type=int, default=DEFAULT_N_ROUNDS)
     sweep_p.add_argument("--cm-fraction", type=float, default=0.2)
     sweep_p.add_argument("--seed", type=int, default=None, required=False)
     sweep_p.add_argument("--out", default="out")
@@ -101,18 +96,19 @@ def _cmd_curves(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.seed is None:
         raise ConfigError("a --seed is required (no wall-clock seeding)")
-    sweep = SweepParams(
+    session = SessionConfig(
         protocol=ProtocolKind.from_string(args.protocol),
-        attack_kind=AttackKind.from_string(args.attack),
-        p_values=parse_p_grid(args.p_grid),
         n_rounds=args.rounds,
+        seed=args.seed,
         cm_fraction=args.cm_fraction,
         channel=ChannelSpec(args.transmittance, args.flip_prob),
-        basis_policy=BasisPolicy.from_string(args.basis_policy),
+        attack=AttackSpec(AttackKind.from_string(args.attack),
+                          basis_policy=BasisPolicy.from_string(args.basis_policy)),
         d_pd_cm=args.d_pd_cm,
         enforce_cm_threshold=args.threshold,
     )
-    scenario = Scenario("sweep", seed=args.seed, out_dir=args.out, sweep=sweep)
+    scenario = Scenario("sweep", seed=args.seed, out_dir=args.out, session=session,
+                        p_values=parse_p_grid(args.p_grid))
     result = run_scenario(scenario)
     for path in result.paths:
         print(path)

@@ -1,9 +1,10 @@
 """Line-oriented scenario config files.
 
 Format: `key = value` assignments grouped under `[section]` headers,
-with `#` comments and blank lines ignored.  Unknown sections or keys are
-rejected with the offending line number, as are out-of-range values.
-A seed is mandatory; scenarios never fall back to wall-clock seeding.
+with `#` comments and blank lines ignored.  Unknown sections or keys,
+keys the scenario does not read and out-of-range values are rejected
+with the offending line number.  A seed is mandatory; scenarios never
+fall back to wall-clock seeding.
 """
 
 from dataclasses import dataclass
@@ -11,14 +12,8 @@ from dataclasses import dataclass
 from ..adversary import AttackKind, AttackSpec, BasisPolicy
 from ..channel import ChannelSpec, LinkBudget
 from ..kinds import ProtocolKind
-from ..protocol import DEFAULT_D_PD_CM, SessionConfig
-from .scenario import (
-    DEFAULT_SWEEP_ROUNDS,
-    SCENARIO_NAMES,
-    Scenario,
-    SweepParams,
-    parse_p_grid,
-)
+from ..protocol import SessionConfig
+from .scenario import Scenario, parse_p_grid
 
 
 class ConfigError(ValueError):
@@ -69,7 +64,7 @@ _SCHEMA = {
         "f_plus": float,
     },
     "sweep": {
-        "p_grid": str,
+        "p_grid": parse_p_grid,
         "n_rounds": int,
     },
 }
@@ -96,10 +91,10 @@ def _read_entries(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"expected `key = value`, got {line!r}", lineno)
-            if section is None:
-                raise ConfigError("assignment before any [section] header", lineno)
             key, _, raw_value = line.partition("=")
             key = key.strip().lower()
+            if section is None:
+                raise ConfigError(f"{key!r} set before any [section] header", lineno)
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
             if (section, key) in entries:
@@ -113,123 +108,63 @@ def _read_entries(path: str) -> dict:
     return entries
 
 
-class _View:
-    """Typed access with line-number-carrying range checks."""
-
-    def __init__(self, entries):
-        self._entries = entries
-
-    def get(self, section, key, default=None):
-        entry = self._entries.get((section, key))
-        return default if entry is None else entry.value
-
-    def lineno(self, section, key):
-        entry = self._entries.get((section, key))
-        return None if entry is None else entry.lineno
-
-    def require(self, section, key):
-        entry = self._entries.get((section, key))
-        if entry is None:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        return entry.value
-
-    def check_range(self, section, key, ok, message):
-        entry = self._entries.get((section, key))
-        if entry is not None and not ok(entry.value):
-            raise ConfigError(f"{key} {message}, got {entry.value!r}", entry.lineno)
-
-
 def parse_config(path: str) -> Scenario:
-    """Parse a scenario config file into a Scenario."""
-    view = _View(_read_entries(path))
+    """Parse a scenario config file into a Scenario.
 
-    name = view.require("scenario", "name")
-    if name not in SCENARIO_NAMES:
-        raise ConfigError(
-            f"unknown scenario name {name!r} (one of {', '.join(SCENARIO_NAMES)})",
-            view.lineno("scenario", "name"))
-    seed = view.require("scenario", "seed")
-    view.check_range("scenario", "seed", lambda v: 0 <= v < 2 ** 64,
-                     "must be a 64-bit integer")
-    view.check_range("scenario", "n_points", lambda v: v >= 2, "must be >= 2")
-    view.check_range("scenario", "d_pd_cm", lambda v: 0.0 < v < 0.5,
-                     "out of range (0, 0.5)")
-    view.check_range("session", "n_rounds", lambda v: v >= 1, "must be >= 1")
-    view.check_range("session", "cm_fraction", lambda v: 0.0 <= v < 1.0,
-                     "out of range [0, 1)")
-    view.check_range("channel", "transmittance_per_leg",
-                     lambda v: 0.0 <= v <= 1.0, "out of range [0, 1]")
-    view.check_range("channel", "flip_prob", lambda v: 0.0 <= v <= 0.5,
-                     "out of range [0, 0.5]")
-    view.check_range("channel", "legs", lambda v: v >= 1, "must be >= 1")
-    view.check_range("channel", "alpha_db_per_km", lambda v: v >= 0.0, "must be >= 0")
-    view.check_range("channel", "distance_km", lambda v: v >= 0.0, "must be >= 0")
-    view.check_range("attack", "presence", lambda v: 0.0 <= v <= 1.0,
-                     "out of range [0, 1]")
-    view.check_range("attack", "f0", lambda v: 0.5 <= v <= 1.0, "out of range [0.5, 1]")
-    view.check_range("attack", "f_plus", lambda v: 0.5 <= v <= 1.0,
-                     "out of range [0.5, 1]")
-    view.check_range("sweep", "n_rounds", lambda v: v >= 1, "must be >= 1")
+    Each key set in the file is passed under its own name to the
+    constructor that reads it (Scenario, SessionConfig, ChannelSpec,
+    AttackSpec or LinkBudget), so defaults and range checks live only
+    there.  A constructor's ValueError starts with the field name, which
+    maps back to the key's line.  A key the scenario does not read is
+    rejected, so every value in the file is checked.
+    """
+    entries = _read_entries(path)
+    unread = dict(entries)
 
-    out_dir = view.get("scenario", "out_dir", "out")
-    n_points = view.get("scenario", "n_points", 201)
-    d_pd_cm = view.get("scenario", "d_pd_cm", DEFAULT_D_PD_CM)
-    link = LinkBudget(view.get("channel", "alpha_db_per_km", 0.2),
-                      view.get("channel", "distance_km", 50.0))
+    def require(section, key):
+        if (section, key) not in entries:
+            raise ConfigError(f"missing required key {key!r} in section [{section}]")
+        return entries[(section, key)].value
 
-    def build_channel():
-        return ChannelSpec(
-            view.get("channel", "transmittance_per_leg", 1.0),
-            view.get("channel", "flip_prob", 0.0),
-            view.get("channel", "legs"),
-        )
+    def take(section, *keys):
+        return {key: unread.pop((section, key)).value
+                for key in keys if (section, key) in unread}
 
-    def build_attack():
-        return AttackSpec(
-            view.get("attack", "kind", AttackKind.NO_ATTACK),
-            view.get("attack", "presence", 0.0),
-            view.get("attack", "basis_policy", BasisPolicy.RANDOM),
-            view.get("attack", "f0", 1.0),
-            view.get("attack", "f_plus", 1.0),
-        )
-
+    name = require("scenario", "name")
+    require("scenario", "seed")
+    if name in ("session", "sweep"):
+        require("session", "protocol")
+    if name == "sweep":
+        require("sweep", "p_grid")
+    fields = take("scenario", "name", "seed", "out_dir")
     try:
-        if name == "session":
-            protocol = view.require("session", "protocol")
-            session = SessionConfig(
-                protocol=protocol,
-                n_rounds=view.get("session", "n_rounds", DEFAULT_SWEEP_ROUNDS),
-                seed=seed,
-                cm_fraction=view.get("session", "cm_fraction", 0.2),
-                channel=build_channel(),
-                attack=build_attack(),
-                d_pd_cm=d_pd_cm,
-                enforce_cm_threshold=view.get("session", "enforce_cm_threshold", False),
+        if name in ("session", "sweep"):
+            sweep = name == "sweep"
+            fields["session"] = SessionConfig(
+                seed=fields["seed"],
+                channel=ChannelSpec(**take("channel", "transmittance_per_leg", "flip_prob",
+                                           "legs")),
+                attack=AttackSpec(**take("attack", "kind", *(() if sweep else ("presence",)),
+                                         "basis_policy", "f0", "f_plus")),
+                **take("session", "protocol", "cm_fraction", "enforce_cm_threshold"),
+                **take("sweep" if sweep else "session", "n_rounds"),
+                **take("scenario", "d_pd_cm"),
             )
-            return Scenario(name, seed, out_dir, session=session)
-        if name == "sweep":
-            protocol = view.require("session", "protocol")
-            attack = build_attack()
-            sweep = SweepParams(
-                protocol=protocol,
-                attack_kind=attack.kind,
-                basis_policy=attack.basis_policy,
-                f0=attack.f0,
-                f_plus=attack.f_plus,
-                p_values=parse_p_grid(view.require("sweep", "p_grid")),
-                n_rounds=view.get("sweep", "n_rounds", DEFAULT_SWEEP_ROUNDS),
-                cm_fraction=view.get("session", "cm_fraction", 0.2),
-                channel=build_channel(),
-                d_pd_cm=d_pd_cm,
-                enforce_cm_threshold=view.get("session", "enforce_cm_threshold", False),
-            )
-            return Scenario(name, seed, out_dir, sweep=sweep)
-        if name == "table1":
-            return Scenario(name, seed, out_dir, link=link, d_pd_cm=d_pd_cm,
-                            n_rounds=view.get("session", "n_rounds", DEFAULT_SWEEP_ROUNDS))
-        # Curve scenarios.
-        return Scenario(name, seed, out_dir, n_points=n_points, d_pd_cm=d_pd_cm)
-    except ConfigError:
-        raise
+            if sweep:
+                fields["p_values"] = take("sweep", "p_grid")["p_grid"]
+        elif name == "table1":
+            fields.update(take("scenario", "d_pd_cm"), **take("session", "n_rounds"),
+                          link=LinkBudget(**take("channel", "alpha_db_per_km", "distance_km")))
+        else:
+            fields.update(take("scenario", "n_points", "d_pd_cm"))
+        scenario = Scenario(**fields)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        field = str(exc).split(" ", 1)[0].rstrip(":")
+        read = {key: entry.lineno for (section, key), entry in entries.items()
+                if (section, key) not in unread}
+        raise ConfigError(str(exc), read.get(field)) from None
+    if unread:
+        (section, key), entry = next(iter(unread.items()))
+        raise ConfigError(f"key {key!r} in section [{section}] is not read by a "
+                          f"{name} scenario", entry.lineno)
+    return scenario

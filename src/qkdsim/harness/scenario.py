@@ -9,7 +9,7 @@ which round-trips exactly.
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..adversary import AttackKind, AttackSpec, BasisPolicy, eve_accuracy
@@ -17,6 +17,7 @@ from ..channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for, path
 from ..infotheory import (
     DEFAULT_D_PD_CM,
     MutualInfoCurve,
+    _linspace,
     build_curve,
     eve_info_mitm,
     mutual_info_ab,
@@ -26,6 +27,7 @@ from ..kinds import ProtocolKind
 from ..postproc import DEFAULT_SAFETY_BITS, NO_PRIVACY_REASON, privacy_amplify
 from ..protocol import (
     BB84_ABORT_THRESHOLD,
+    DEFAULT_N_ROUNDS,
     SessionConfig,
     Transcript,
     run_session,
@@ -33,8 +35,6 @@ from ..protocol import (
 )
 
 SCENARIO_NAMES = ("fig2a", "fig2b", "fig2c", "table1", "sweep", "session")
-
-DEFAULT_SWEEP_ROUNDS = 20000
 
 _TABLE_ORDER = (ProtocolKind.BB84, ProtocolKind.PING_PONG,
                 ProtocolKind.LM05, ProtocolKind.MCAS_BB84)
@@ -48,43 +48,48 @@ _TABLE_ATTACKS = {
 
 
 @dataclass(frozen=True)
-class SweepParams:
-    """A presence sweep of one attack against one protocol."""
-
-    protocol: ProtocolKind
-    attack_kind: AttackKind
-    p_values: tuple[float, ...]
-    n_rounds: int = DEFAULT_SWEEP_ROUNDS
-    cm_fraction: float = 0.2
-    channel: ChannelSpec = ChannelSpec()
-    basis_policy: BasisPolicy = BasisPolicy.RANDOM
-    f0: float = 1.0
-    f_plus: float = 1.0
-    d_pd_cm: float = DEFAULT_D_PD_CM
-    enforce_cm_threshold: bool = False
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """A fully determined reproduction target."""
+    """A fully determined reproduction target.
+
+    ``n_points`` sizes the curve grids and ``n_rounds`` the table1
+    sessions.  A ``session`` scenario runs ``session`` as given; a
+    ``sweep`` runs it once per presence in ``p_values`` (see
+    :meth:`sweep_configs`).  A ValueError names the offending field first.
+    """
 
     name: str
     seed: int
     out_dir: str = "out"
     n_points: int = 201
     d_pd_cm: float = DEFAULT_D_PD_CM
-    link: LinkBudget = LinkBudget(0.2, 50.0)
-    n_rounds: int = DEFAULT_SWEEP_ROUNDS
+    link: LinkBudget = LinkBudget()
+    n_rounds: int = DEFAULT_N_ROUNDS
     session: SessionConfig | None = None
-    sweep: SweepParams | None = None
+    p_values: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario name: {self.name!r}")
-        if self.name == "session" and self.session is None:
-            raise ValueError("session scenario needs a SessionConfig")
-        if self.name == "sweep" and self.sweep is None:
-            raise ValueError("sweep scenario needs SweepParams")
+            raise ValueError(f"name {self.name!r} is not one of {', '.join(SCENARIO_NAMES)}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
+        if self.n_points < 2:
+            raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
+        if not 0.0 < self.d_pd_cm < 0.5:
+            raise ValueError(f"d_pd_cm out of (0, 0.5): {self.d_pd_cm!r}")
+        if self.n_rounds < 1:
+            raise ValueError(f"n_rounds must be positive, got {self.n_rounds!r}")
+        if self.name in ("session", "sweep") and self.session is None:
+            raise ValueError(f"session: a {self.name} scenario needs a SessionConfig")
+        if self.name == "sweep":
+            if not self.p_values:
+                raise ValueError("p_values: a sweep needs at least one presence")
+            self.sweep_configs()  # every grid point must make a valid session
+
+    def sweep_configs(self) -> list[SessionConfig]:
+        """The session of each sweep point: the template at presence p, seeded per point."""
+        return [replace(self.session, seed=child_seed(self.seed, i),
+                        attack=replace(self.session.attack, presence=p))
+                for i, p in enumerate(self.p_values)]
 
 
 @dataclass
@@ -105,12 +110,8 @@ def parse_p_grid(text: str) -> tuple[float, ...]:
     if n < 1:
         raise ValueError(f"p-grid needs at least one point, got {n}")
     for bound in (lo, hi):
-        if not 0.0 <= bound <= 1.0:
-            raise ValueError(f"presence out of [0, 1]: {bound!r}")
-    if n == 1:
-        return (lo,)
-    step = (hi - lo) / (n - 1)
-    return tuple(lo + i * step for i in range(n - 1)) + (hi,)
+        AttackSpec(presence=bound)  # the presence range check
+    return (lo,) if n == 1 else _linspace(lo, hi, n)
 
 
 def child_seed(seed: int, salt: int) -> int:
@@ -240,20 +241,16 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         est = transcript.disturbance
         # Empirical rates can spill past the model domain [0, 0.5] by
         # sampling noise; clamp before evaluating the analytic columns.
+        i_ae = _session_eve_info(transcript)
         if protocol is ProtocolKind.BB84:
             modes = "MM"
             max_disturbance = BB84_ABORT_THRESHOLD
             secure_for = f"d_mm < {BB84_ABORT_THRESHOLD}"
-            if est.d_mm is None:  # a session too short to disclose any bit
-                i_ab = i_ae = None
-            else:
-                d_mm = min(est.d_mm, 0.5)
-                i_ab = mutual_info_ab(d_mm)
-                i_ae = mutual_info_ae(d_mm)
+            # None when a session is too short to disclose any bit.
+            i_ab = None if est.d_mm is None else mutual_info_ab(min(est.d_mm, 0.5))
         else:
             modes = "MM+CM"
             i_ab = 1.0
-            i_ae = eve_info_mitm(min(est.d_cm, 0.5)) if est.d_cm is not None else None
             if protocol is ProtocolKind.MCAS_BB84:
                 max_disturbance = sc.d_pd_cm
                 secure_for = f"d_cm < {sc.d_pd_cm}"
@@ -282,35 +279,14 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
 
 # ---------------------------------------------------------------- sweep
 
-def _sweep_session_config(params: SweepParams, p: float, seed: int) -> SessionConfig:
-    attack = AttackSpec(params.attack_kind, p, params.basis_policy,
-                        params.f0, params.f_plus)
-    channel = params.channel
-    if channel.legs is None:
-        channel = ChannelSpec(channel.transmittance_per_leg, channel.flip_prob,
-                              legs_for(params.protocol))
-    return SessionConfig(
-        protocol=params.protocol,
-        n_rounds=params.n_rounds,
-        seed=seed,
-        cm_fraction=params.cm_fraction,
-        channel=channel,
-        attack=attack,
-        d_pd_cm=params.d_pd_cm,
-        enforce_cm_threshold=params.enforce_cm_threshold,
-    )
-
-
 def _run_sweep_scenario(sc: Scenario, out: Path) -> ScenarioResult:
-    params = sc.sweep
     rows = []
-    for i, p in enumerate(params.p_values):
-        cfg = _sweep_session_config(params, p, child_seed(sc.seed, i))
+    for cfg in sc.sweep_configs():
         transcript = run_session(cfg)
         est = transcript.disturbance
         acc = eve_accuracy(transcript)
         coverage = None if math.isnan(acc.coverage) else acc.coverage
-        rows.append([p, est.d_mm, est.d_cm, coverage, acc.accuracy,
+        rows.append([cfg.attack.presence, est.d_mm, est.d_cm, coverage, acc.accuracy,
                      transcript.aborted])
     path = out / "sweep.csv"
     _write_rows(path, ["p", "d_mm", "d_cm", "eve_coverage", "eve_accuracy", "abort"],

@@ -8,6 +8,7 @@ bounds unless a check states a tighter deterministic bound.
 """
 
 import filecmp
+import functools
 import math
 import random
 import tempfile
@@ -33,7 +34,7 @@ from ..postproc import (
     universal_hash,
 )
 from ..protocol import RoundMode, SessionConfig, alice_intent_bit, bob_decoded_bit, run_session
-from .scenario import Scenario, SweepParams, run_scenario
+from .scenario import Scenario, run_scenario
 
 _SEED = 987654321
 
@@ -60,62 +61,24 @@ class Check:
         return self.fn()
 
 
-_session_cache: dict = {}
+@functools.cache
+def _session(cfg: SessionConfig) -> tuple:
+    """A session's transcript plus its wall-clock runtime, run once per config."""
+    start = time.perf_counter()
+    transcript = run_session(cfg)
+    return transcript, time.perf_counter() - start
 
 
-def _mitm_session(protocol: ProtocolKind, presence: float,
-                  n_rounds: int = 20000) -> tuple:
-    """A cached noiseless MITM session plus its wall-clock runtime."""
-    key = (protocol, presence, n_rounds)
-    if key not in _session_cache:
-        cfg = SessionConfig(
-            protocol=protocol,
-            n_rounds=n_rounds,
-            seed=_SEED + int(presence * 100),
-            cm_fraction=0.2,
-            channel=ChannelSpec.for_protocol(protocol),
-            attack=AttackSpec(_MITM_ATTACK[protocol], presence),
-        )
-        start = time.perf_counter()
-        transcript = run_session(cfg)
-        _session_cache[key] = (transcript, time.perf_counter() - start)
-    return _session_cache[key]
-
-
-def _mcas_session(presence: float) -> tuple:
-    key = ("mcas", presence)
-    if key not in _session_cache:
-        cfg = SessionConfig(
-            protocol=ProtocolKind.MCAS_BB84,
-            n_rounds=20000,
-            seed=_SEED + 7,
-            cm_fraction=0.2,
-            channel=ChannelSpec.for_protocol(ProtocolKind.MCAS_BB84),
-            attack=AttackSpec(AttackKind.MITM_MCAS_X, presence),
-        )
-        start = time.perf_counter()
-        transcript = run_session(cfg)
-        _session_cache[key] = (transcript, time.perf_counter() - start)
-    return _session_cache[key]
-
-
-def _bb84_ir_session() -> tuple:
-    key = "bb84-ir"
-    if key not in _session_cache:
-        cfg = SessionConfig(
-            protocol=ProtocolKind.BB84,
-            # 1.2e4 disclosed bits expected, so the >= 1e4 sample-size
-            # requirement of criterion 7 holds by a wide margin.
-            n_rounds=240000,
-            seed=_SEED + 11,
-            cm_fraction=0.0,
-            channel=ChannelSpec.for_protocol(ProtocolKind.BB84),
-            attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM),
-        )
-        start = time.perf_counter()
-        transcript = run_session(cfg)
-        _session_cache[key] = (transcript, time.perf_counter() - start)
-    return _session_cache[key]
+def _mitm_config(protocol: ProtocolKind, presence: float) -> SessionConfig:
+    """The noiseless copy-attack session of criteria 3-5 and 10."""
+    return SessionConfig(
+        protocol=protocol,
+        n_rounds=20000,
+        seed=_SEED + int(presence * 100),
+        cm_fraction=0.2,
+        channel=ChannelSpec.for_protocol(protocol),
+        attack=AttackSpec(_MITM_ATTACK[protocol], presence),
+    )
 
 
 def _expected_ir_disturbance() -> Fraction:
@@ -187,7 +150,7 @@ def _check_mitm_mm_undetectable() -> CheckResult:
     ok = True
     for protocol in (ProtocolKind.PING_PONG, ProtocolKind.LM05):
         for presence in (0.25, 0.5, 1.0):
-            transcript, runtime = _mitm_session(protocol, presence)
+            transcript, runtime = _session(_mitm_config(protocol, presence))
             flips = sum(
                 1 for rec in transcript.rounds
                 if rec.mode is RoundMode.MESSAGE and not rec.lost
@@ -205,7 +168,7 @@ def _check_cm_detection() -> CheckResult:
     ok = True
     for protocol in (ProtocolKind.PING_PONG, ProtocolKind.LM05):
         for presence in (0.25, 0.5, 1.0):
-            transcript, _ = _mitm_session(protocol, presence)
+            transcript, _ = _session(_mitm_config(protocol, presence))
             est = transcript.disturbance
             expected = presence / 2.0
             bound = _four_sigma(expected, est.n_cm)
@@ -224,11 +187,11 @@ def _check_eve_key_copy() -> CheckResult:
     details = []
     ok = True
     for protocol in (ProtocolKind.PING_PONG, ProtocolKind.LM05):
-        t_full, _ = _mitm_session(protocol, 1.0)
+        t_full, _ = _session(_mitm_config(protocol, 1.0))
         acc_full = eve_accuracy(t_full)
         full_ok = (acc_full.coverage == 1.0 and acc_full.accuracy == 1.0
                    and t_full.eve_key == t_full.alice_key)
-        t_half, _ = _mitm_session(protocol, 0.5)
+        t_half, _ = _session(_mitm_config(protocol, 0.5))
         acc_half = eve_accuracy(t_half)
         bound = _four_sigma(0.5, len(t_half.alice_key))
         half_ok = abs(acc_half.coverage - 0.5) <= bound and acc_half.accuracy == 1.0
@@ -246,7 +209,16 @@ def _check_key_rate_cases() -> CheckResult:
 
 
 def _check_intercept_resend_baseline() -> CheckResult:
-    transcript, _ = _bb84_ir_session()
+    transcript, _ = _session(SessionConfig(
+        protocol=ProtocolKind.BB84,
+        # 1.2e4 disclosed bits expected, so the >= 1e4 sample-size
+        # requirement holds by a wide margin.
+        n_rounds=240000,
+        seed=_SEED + 11,
+        cm_fraction=0.0,
+        channel=ChannelSpec.for_protocol(ProtocolKind.BB84),
+        attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM),
+    ))
     est = transcript.disturbance
     expected = float(_expected_ir_disturbance())
     bound = _four_sigma(expected, est.n_mm)
@@ -257,8 +229,14 @@ def _check_intercept_resend_baseline() -> CheckResult:
 
 
 def _check_mcas_threshold() -> CheckResult:
-    hot, _ = _mcas_session(0.5)
-    cold, _ = _mcas_session(0.04)
+    hot, cold = (_session(SessionConfig(
+        protocol=ProtocolKind.MCAS_BB84,
+        n_rounds=20000,
+        seed=_SEED + 7,
+        cm_fraction=0.2,
+        channel=ChannelSpec.for_protocol(ProtocolKind.MCAS_BB84),
+        attack=AttackSpec(AttackKind.MITM_MCAS_X, presence),
+    ))[0] for presence in (0.5, 0.04))
     hot_est = hot.disturbance
     cold_est = cold.disturbance
     hot_ok = (hot.aborted and hot.abort_reason == "cm-threshold-exceeded"
@@ -296,7 +274,7 @@ def _check_table1() -> CheckResult:
 
 
 def _check_pa_futility() -> CheckResult:
-    transcript, _ = _mitm_session(ProtocolKind.LM05, 1.0)
+    transcript, _ = _session(_mitm_config(ProtocolKind.LM05, 1.0))
     copy_ok = transcript.eve_key == transcript.alice_key
     zero_k = choose_output_length(len(transcript.alice_key), 1.0, 32)
     secret_blocked, spec_blocked = privacy_amplify(
@@ -318,6 +296,12 @@ def _bit_rows(values: Iterable[int], width: int) -> np.ndarray:
     packed = b"".join(v.to_bytes(nbytes, "big") for v in values)
     raw = np.frombuffer(packed, dtype=np.uint8).reshape(-1, nbytes)
     return np.unpackbits(raw, axis=1)[:, nbytes * 8 - width:]
+
+
+def _matrix_hash(seed: np.ndarray, x: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The hash by definition: entry (i, j) of the matrix is seed_bits[m - 1 + i - j]."""
+    i, j = np.ogrid[:k, :m]
+    return (seed[m - 1 + i - j].astype(np.int64) @ x) & 1
 
 
 def _hash_rows(seeds: np.ndarray, xs: np.ndarray, m: int, k: int,
@@ -350,16 +334,20 @@ def _check_hash_properties() -> CheckResult:
         trials.append((diagonals, xa, xb))
     diagonals, xa, xb = zip(*trials)
     seeds = _bit_rows(diagonals, m + k - 1)
-    ha = _hash_rows(seeds, _bit_rows(xa, m), m, k)
+    rows_a = _bit_rows(xa, m)
+    ha = _hash_rows(seeds, rows_a, m, k)
     hb = _hash_rows(seeds, _bit_rows(xb, m), m, k)
     collisions = int(np.all(ha == hb, axis=1).sum())
-    # The batch must agree with universal_hash on a sample of the trials.
+    # On a sample of the trials the batch must agree with universal_hash
+    # and with the matrix definition, which shares no arithmetic with it.
     agree = all(
         universal_hash(f"{xa[i]:0{m}b}", HashSpec(m, k, f"{diagonals[i]:0{m + k - 1}b}"))
         == "".join(map(str, ha[i]))
+        and np.array_equal(_matrix_hash(seeds[i], rows_a[i], m, k), ha[i])
         for i in range(0, len(trials), 1000))
     ok = determinism and agree and linear and collisions == 0
-    return CheckResult(ok, f"deterministic={determinism}, batch agrees={agree}, "
+    return CheckResult(ok, f"deterministic={determinism}, batch agrees with "
+                           f"universal_hash and the matrix={agree}, "
                            f"linear on 10^4 triples={linear}, "
                            f"collisions={collisions}/10^5 at k=32")
 
@@ -380,9 +368,9 @@ def _check_determinism() -> CheckResult:
             ("session", lambda d: Scenario("session", seed=_SEED + 21, out_dir=d,
                                            session=session)),
             ("sweep", lambda d: Scenario(
-                "sweep", seed=_SEED, out_dir=d,
-                sweep=SweepParams(ProtocolKind.LM05, AttackKind.MITM_LM05,
-                                  p_values=(0.0, 0.5, 1.0), n_rounds=2000))),
+                "sweep", seed=_SEED, out_dir=d, p_values=(0.0, 0.5, 1.0),
+                session=SessionConfig(protocol=ProtocolKind.LM05, n_rounds=2000, seed=_SEED,
+                                      attack=AttackSpec(AttackKind.MITM_LM05)))),
             ("table1", lambda d: Scenario("table1", seed=_SEED, out_dir=d,
                                           n_rounds=2000)),
         ):

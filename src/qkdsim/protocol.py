@@ -46,6 +46,7 @@ import numpy as np
 from .adversary import AttackKind, AttackSpec, BasisPolicy
 from .channel import ChannelSpec, legs_for
 from .kinds import ProtocolKind
+from .postproc import _bit_string
 from .qstate import Basis, BellLabel, CanonState, Encoding
 
 # The per-round primitives stay attributes of this module: the
@@ -57,6 +58,7 @@ from .qstate import measure, prepare  # noqa: F401
 DISCLOSE_FRACTION = 0.1
 BB84_ABORT_THRESHOLD = 0.11
 DEFAULT_D_PD_CM = 0.05
+DEFAULT_N_ROUNDS = 20000
 
 _Z95 = 1.96
 # Column codes: basis 0 is Z and 1 is X; a canonical state is 2 * basis + bit.
@@ -91,18 +93,19 @@ class Announcement(NamedTuple):
     bit: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SessionConfig:
     """Everything one session depends on; identical configs replay identically.
 
     ``cm_fraction`` is the per-round probability of a control round; BB84
     has no control mode and ignores it.  ``enforce_cm_threshold`` opts
     the two-way protocols into the predetermined abort threshold that the
-    asymmetric variant always applies.
+    asymmetric variant always applies.  A ValueError names the offending
+    field first.
     """
 
     protocol: ProtocolKind
-    n_rounds: int
+    n_rounds: int = DEFAULT_N_ROUNDS
     seed: int
     cm_fraction: float = 0.2
     channel: ChannelSpec = ChannelSpec()
@@ -121,11 +124,11 @@ class SessionConfig:
             raise ValueError(f"d_pd_cm out of (0, 0.5): {self.d_pd_cm!r}")
         if self.protocol not in _COMPATIBLE_ATTACKS[self.attack.kind]:
             raise ValueError(
-                f"attack {self.attack.kind.value} does not apply to {self.protocol.value}")
+                f"kind {self.attack.kind.value} does not apply to {self.protocol.value}")
         legs = self.resolved_legs
         if self.protocol.is_two_way and legs % 2 != 0:
             raise ValueError(
-                f"two-way protocols need an even leg count, got {legs}")
+                f"legs: two-way protocols need an even leg count, got {legs}")
 
     @property
     def resolved_legs(self) -> int:
@@ -329,10 +332,6 @@ def _sift_mask(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
     if protocol is ProtocolKind.MCAS_BB84:
         return keep & (cols.bob_basis == 0)
     return keep
-
-
-def _bit_string(bits: np.ndarray) -> str:
-    return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def sift(protocol: ProtocolKind, rounds) -> tuple[str, str]:

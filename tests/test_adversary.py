@@ -113,6 +113,11 @@ class TestAttackSpec:
         with pytest.raises(ValueError):
             AttackSpec(AttackKind.ANCILLA_UBE, 1.0, f0=0.4)
 
+    @pytest.mark.parametrize("kind", list(AttackKind))
+    def test_fidelity_range_for_every_kind(self, kind):
+        with pytest.raises(ValueError, match="^f_plus"):
+            AttackSpec(kind, f_plus=1.2)
+
     def test_from_string(self):
         assert AttackKind.from_string("mitm_lm05") is AttackKind.MITM_LM05
         with pytest.raises(ValueError):

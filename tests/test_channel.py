@@ -44,6 +44,13 @@ class TestSpecs:
         with pytest.raises(ValueError):
             LinkBudget(0.2, -10.0)
 
+    @pytest.mark.parametrize("alpha, distance", [(0.0, math.inf), (math.inf, 1.0),
+                                                 (math.nan, 1.0), (0.2, math.nan)])
+    def test_link_budget_finite(self, alpha, distance):
+        """0 dB/km over an infinite distance would give a nan transmittance."""
+        with pytest.raises(ValueError, match="finite"):
+            LinkBudget(alpha, distance)
+
 
 class TestLegTransmittance:
     def test_lossless_fiber(self):

@@ -1,0 +1,207 @@
+"""Property tests over config-file text: every file runs or fails cleanly.
+
+Hypothesis runs derandomized with a fixed example budget, so the suite
+draws the same examples on every run.  The end-to-end cases keep every
+session at most 2000 rounds and every grid at most 5 points.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkdsim.harness import ConfigError, parse_config
+from qkdsim.harness.cli import main
+
+
+def _fuzz(max_examples):
+    return settings(derandomize=True, database=None, deadline=None,
+                    max_examples=max_examples)
+
+
+# Per key: valid values, then out-of-range, non-finite and mistyped ones.
+_VALID = {
+    ("scenario", "name"): ["fig2a", "fig2b", "fig2c", "table1", "sweep", "session"],
+    ("scenario", "seed"): ["0", "7", str(2 ** 64 - 1)],
+    ("scenario", "n_points"): ["2", "5"],
+    ("scenario", "d_pd_cm"): ["0.05", "0.2", "0.49"],
+    ("session", "protocol"): ["bb84", "pp", "lm05", "mcasbb84"],
+    ("session", "n_rounds"): ["1", "50", "2000"],
+    ("session", "cm_fraction"): ["0", "0.2", "0.999"],
+    ("session", "enforce_cm_threshold"): ["true", "off"],
+    ("channel", "transmittance_per_leg"): ["0", "0.9", "1"],
+    ("channel", "flip_prob"): ["0", "0.05", "0.5"],
+    ("channel", "legs"): ["1", "2", "3", "4"],
+    ("channel", "alpha_db_per_km"): ["0", "0.2", "1e308"],
+    ("channel", "distance_km"): ["0", "50", "20000"],
+    ("attack", "kind"): ["none", "ir", "mitm_pp", "mitm_lm05", "mitm_mcas_x", "ancilla_ube"],
+    ("attack", "presence"): ["0", "0.5", "1"],
+    ("attack", "basis_policy"): ["random", "fixed_z", "fixed_x"],
+    ("attack", "f0"): ["0.5", "0.9", "1"],
+    ("attack", "f_plus"): ["0.5", "0.9", "1"],
+    ("sweep", "p_grid"): ["0:1:5", "0.2:0.4:1", "1:0:3"],
+    ("sweep", "n_rounds"): ["1", "500", "2000"],
+}
+_INVALID = {
+    ("scenario", "name"): ["fig9", ""],
+    ("scenario", "seed"): ["-3", str(2 ** 64), "1.5", "x"],
+    ("scenario", "n_points"): ["1", "0", "-4", "two"],
+    ("scenario", "d_pd_cm"): ["0", "0.5", "-0.1", "nan", "inf"],
+    ("session", "protocol"): ["qkd", ""],
+    ("session", "n_rounds"): ["0", "-1", "1e3"],
+    ("session", "cm_fraction"): ["1", "-0.1", "nan"],
+    ("session", "enforce_cm_threshold"): ["maybe"],
+    ("channel", "transmittance_per_leg"): ["1.01", "-0.5", "nan"],
+    ("channel", "flip_prob"): ["0.51", "-0.01", "inf"],
+    ("channel", "legs"): ["0", "-2", "2.0"],
+    ("channel", "alpha_db_per_km"): ["-0.1", "inf", "nan"],
+    ("channel", "distance_km"): ["-1", "inf", "nan"],
+    ("attack", "kind"): ["laser"],
+    ("attack", "presence"): ["1.5", "-0.5", "nan"],
+    ("attack", "basis_policy"): ["diag"],
+    ("attack", "f0"): ["0.49", "1.1", "nan"],
+    ("attack", "f_plus"): ["0.49", "1.1", "nan"],
+    ("sweep", "p_grid"): ["0:1", "0:2:3", "0:1:0", "a:b:c", "nan:1:2"],
+    ("sweep", "n_rounds"): ["0", "-5"],
+}
+_KEYS = sorted(_VALID)
+_SESSION_KEYS = [("scenario", "d_pd_cm"), ("session", "cm_fraction"),
+                 ("session", "enforce_cm_threshold"), ("channel", "transmittance_per_leg"),
+                 ("channel", "flip_prob"), ("channel", "legs"), ("attack", "kind"),
+                 ("attack", "basis_policy"), ("attack", "f0"), ("attack", "f_plus")]
+_CURVE_KEYS = [("scenario", "n_points"), ("scenario", "d_pd_cm")]
+_MANDATORY = ("seed", "protocol", "p_grid")
+# The keys each scenario reads besides name, seed and out_dir.  The round
+# counts are not mandatory but always set, to keep every session small.
+_REQUIRED = {
+    "table1": [("session", "n_rounds")],
+    "session": [("session", "protocol"), ("session", "n_rounds")],
+    "sweep": [("session", "protocol"), ("sweep", "p_grid"), ("sweep", "n_rounds")],
+}
+_OPTIONAL = {
+    "fig2a": _CURVE_KEYS, "fig2b": _CURVE_KEYS, "fig2c": _CURVE_KEYS,
+    "table1": [("scenario", "d_pd_cm"), ("channel", "alpha_db_per_km"),
+               ("channel", "distance_km")],
+    "session": _SESSION_KEYS + [("attack", "presence")],
+    "sweep": _SESSION_KEYS,
+}
+# Keys whose errors may also come from a cross-field check (attack against
+# protocol, leg parity) on an otherwise valid file.
+_CROSS_FIELD = ("kind", "legs")
+_NOISE = ["", "# comment", "[bogus]", "no equals sign", "bogus = 1", "name = fig2a"]
+
+
+@st.composite
+def config_texts(draw):
+    """(lines, fault, fault key) of a config file with at most one planted fault.
+
+    Without a fault every value is valid, every key is read by the
+    scenario and the required keys are present, so the file either runs
+    or fails a cross-field check.  The faults: one invalid value, one key
+    the scenario does not read, one missing required key, or noise lines.
+    """
+    name = draw(st.sampled_from(_VALID[("scenario", "name")]))
+    keys = [("scenario", "name"), ("scenario", "seed"), *_REQUIRED.get(name, [])]
+    keys += draw(st.lists(st.sampled_from(_OPTIONAL[name]), max_size=4))
+    values = {key: draw(st.sampled_from(_VALID[key])) for key in keys}
+    values[("scenario", "name")] = name
+    fault = draw(st.sampled_from(["none", "none", "value", "unread", "missing", "noise"]))
+    fault_key = None
+    if fault == "value":
+        fault_key = draw(st.sampled_from(sorted(values)))
+        values[fault_key] = draw(st.sampled_from(_INVALID[fault_key]))
+    elif fault == "unread":
+        read = {("scenario", "name"), ("scenario", "seed"), *_REQUIRED.get(name, []),
+                *_OPTIONAL[name]}
+        fault_key = draw(st.sampled_from([k for k in _KEYS if k not in read]))
+        values[fault_key] = draw(st.sampled_from(_VALID[fault_key]))
+    elif fault == "missing":
+        fault_key = draw(st.sampled_from([k for k in keys if k[1] in _MANDATORY]))
+        del values[fault_key]
+    values[("scenario", "out_dir")] = "OUT"
+    lines = []
+    for section in dict.fromkeys(sec for sec, _ in sorted(values)):
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {value}" for (sec, key), value in sorted(values.items())
+                     if sec == section)
+    if fault == "noise":
+        for noise in draw(st.lists(st.sampled_from(_NOISE), min_size=1, max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), noise)
+    return lines, fault, fault_key
+
+
+def _write(tmp: str, lines) -> tuple[str, Path]:
+    out = Path(tmp) / "out"
+    path = Path(tmp) / "fuzz.cfg"
+    path.write_text("\n".join(lines).replace("= OUT", f"= {out}") + "\n", encoding="utf-8")
+    return str(path), out
+
+
+def _key_on(lines, lineno: int) -> str:
+    return lines[lineno - 1].partition("=")[0].strip()
+
+
+def _check_error(exc: ConfigError, lines, fault, fault_key) -> None:
+    """The error points at the planted fault, or at a cross-field key."""
+    if exc.lineno is None:
+        assert "missing required key" in str(exc), str(exc)
+        assert fault in ("missing", "noise"), str(exc)
+        return
+    line = lines[exc.lineno - 1]
+    key = _key_on(lines, exc.lineno)
+    if "=" in line and any(key == k for _, k in _KEYS):
+        assert key in str(exc), (line, str(exc))
+    if fault in ("value", "unread"):
+        assert key == fault_key[1] or key in _CROSS_FIELD, (fault_key, str(exc))
+    elif fault != "noise":
+        assert fault == "none" and key in _CROSS_FIELD, (fault, str(exc))
+
+
+@_fuzz(400)
+@given(config_texts())
+def test_parse_config_raises_only_config_errors_with_lines(case):
+    lines, fault, fault_key = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, _ = _write(tmp, lines)
+        try:
+            parse_config(path)
+        except ConfigError as exc:
+            _check_error(exc, lines, fault, fault_key)
+        else:
+            assert fault in ("none", "noise")
+
+
+@_fuzz(100)
+@given(st.lists(st.one_of(st.sampled_from(_NOISE + ["[scenario]", "seed = 1", "[sweep]",
+                                                    "p_grid = 0:1:2", "name = sweep"]),
+                          st.text(max_size=24)), max_size=8))
+def test_parse_config_on_arbitrary_text(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            parse_config(str(path))
+        except ConfigError:
+            pass
+
+
+@_fuzz(100)
+@given(config_texts())
+def test_cli_run_exits_cleanly(case):
+    lines, fault, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = _write(tmp, lines)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", path])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 1:
+            message = stderr.getvalue()
+            assert message.startswith(("config error: line ", "config error: missing"))
+            assert not out.exists()
+        else:
+            assert fault in ("none", "noise") and out.is_dir()

@@ -11,7 +11,6 @@ from qkdsim.channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for,
 from qkdsim.harness import (
     ConfigError,
     Scenario,
-    SweepParams,
     bits_to_hex,
     child_seed,
     parse_config,
@@ -86,6 +85,119 @@ class TestConfigParsing:
         path = write_config(tmp_path,
                             "# a comment\n\n[scenario]\nname = fig2b\nseed = 2\n")
         assert parse_config(path).name == "fig2b"
+
+
+# Smallest files each scenario accepts; tests append one `key = value`.
+_BASE = {
+    "fig2a": {"scenario": {"name": "fig2a", "seed": "1"}},
+    "table1": {"scenario": {"name": "table1", "seed": "1"}},
+    "session": {"scenario": {"name": "session", "seed": "1"},
+                "session": {"protocol": "lm05"}},
+    "sweep": {"scenario": {"name": "sweep", "seed": "1"}, "session": {"protocol": "lm05"},
+              "sweep": {"p_grid": "0:1:2"}},
+}
+
+
+def config_with(tmp_path, name, section, key, value):
+    """A base config plus one key; returns its path and that key's line number."""
+    sections = {sec: dict(keys) for sec, keys in _BASE[name].items()}
+    sections["scenario"]["out_dir"] = str(tmp_path / "out")
+    sections.setdefault(section, {})[key] = value
+    lines, lineno = [], None
+    for sec, keys in sections.items():
+        lines.append(f"[{sec}]")
+        for k, v in keys.items():
+            lines.append(f"{k} = {v}")
+            if (sec, k) == (section, key):
+                lineno = len(lines)
+    return write_config(tmp_path, "\n".join(lines) + "\n"), lineno
+
+
+class TestOneValidationPath:
+    """Every bad value is rejected by its dataclass, with the key's line."""
+
+    @pytest.mark.parametrize("name, section, key, value", [
+        ("fig2a", "scenario", "seed", "-3"),
+        ("fig2a", "scenario", "seed", str(2 ** 64)),
+        ("fig2a", "scenario", "n_points", "1"),
+        ("fig2a", "scenario", "d_pd_cm", "0.5"),
+        ("fig2a", "scenario", "name", "fig9"),
+        ("table1", "session", "n_rounds", "0"),
+        ("table1", "channel", "alpha_db_per_km", "-1"),
+        ("table1", "channel", "distance_km", "inf"),
+        ("table1", "channel", "alpha_db_per_km", "nan"),
+        ("session", "session", "n_rounds", "0"),
+        ("session", "session", "cm_fraction", "1.0"),
+        ("session", "channel", "transmittance_per_leg", "1.5"),
+        ("session", "channel", "flip_prob", "0.6"),
+        ("session", "channel", "legs", "3"),
+        ("session", "attack", "presence", "1.1"),
+        ("session", "attack", "kind", "mitm_pp"),
+        ("session", "attack", "f0", "0.4"),
+        ("session", "attack", "f_plus", "nan"),
+        ("session", "scenario", "d_pd_cm", "0"),
+        ("sweep", "sweep", "n_rounds", "0"),
+        ("sweep", "sweep", "p_grid", "0:2:3"),
+        ("sweep", "attack", "kind", "mitm_pp"),
+        ("sweep", "channel", "legs", "3"),
+        ("sweep", "scenario", "seed", "-1"),
+    ])
+    def test_bad_value_names_its_line(self, tmp_path, name, section, key, value):
+        path, lineno = config_with(tmp_path, name, section, key, value)
+        with pytest.raises(ConfigError, match=f"^line {lineno}: .*{key}"):
+            parse_config(path)
+        assert main(["run", path]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, section, key, value", [
+        ("fig2a", "session", "n_rounds", "300"),
+        ("fig2a", "channel", "flip_prob", "0.1"),
+        ("table1", "scenario", "n_points", "5"),
+        ("table1", "channel", "flip_prob", "0.1"),
+        ("session", "scenario", "n_points", "5"),
+        ("session", "sweep", "n_rounds", "300"),
+        ("session", "channel", "distance_km", "10"),
+        ("sweep", "session", "n_rounds", "300"),
+        ("sweep", "attack", "presence", "0.5"),
+    ])
+    def test_unread_key_rejected(self, tmp_path, name, section, key, value):
+        path, lineno = config_with(tmp_path, name, section, key, value)
+        with pytest.raises(ConfigError, match=f"^line {lineno}: key '{key}' .* not read"):
+            parse_config(path)
+        assert main(["run", path]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_template(self, tmp_path):
+        """A sweep reads [sweep] n_rounds and takes its presence from the grid."""
+        path, _ = config_with(tmp_path, "sweep", "sweep", "n_rounds", "300")
+        sc = parse_config(path)
+        assert sc.session.n_rounds == 300 and sc.p_values == (0.0, 1.0)
+        configs = sc.sweep_configs()
+        assert [c.attack.presence for c in configs] == [0.0, 1.0]
+        assert [c.seed for c in configs] == [child_seed(1, 0), child_seed(1, 1)]
+
+    def test_scenario_checks_grid_points(self):
+        session = SessionConfig(protocol=ProtocolKind.LM05, seed=1)
+        with pytest.raises(ValueError, match="^presence"):
+            Scenario("sweep", seed=1, session=session, p_values=(0.5, 1.5))
+        with pytest.raises(ValueError, match="^p_values"):
+            Scenario("sweep", seed=1, session=session)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--protocol", "lm05", "--attack", "mitm_lm05", "--p-grid", "0:1:2",
+         "--rounds", "100", "--seed", "-1"],
+        ["sweep", "--protocol", "pp", "--attack", "intercept_resend", "--p-grid", "0:1:2",
+         "--rounds", "100", "--seed", "1"],
+    ])
+    def test_bad_sweep_flags_leave_no_output(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["fig2a", "table1", "session", "sweep"])
+    def test_negative_seed_override(self, tmp_path, name):
+        path, _ = config_with(tmp_path, name, "scenario", "seed", "1")
+        assert main(["run", path, "--seed", "-3"]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestPGrid:
@@ -172,9 +284,10 @@ class TestTableScenario:
 
 class TestSweepScenario:
     def test_full_presence_row(self, tmp_path):
-        sweep = SweepParams(ProtocolKind.LM05, AttackKind.MITM_LM05,
-                            p_values=(0.0, 1.0), n_rounds=3000)
-        sc = Scenario("sweep", seed=4, out_dir=str(tmp_path), sweep=sweep)
+        session = SessionConfig(protocol=ProtocolKind.LM05, n_rounds=3000, seed=4,
+                                attack=AttackSpec(AttackKind.MITM_LM05))
+        sc = Scenario("sweep", seed=4, out_dir=str(tmp_path), session=session,
+                      p_values=(0.0, 1.0))
         with open(run_scenario(sc).paths[0], newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["p"] for r in rows] == ["0.0", "1.0"]
