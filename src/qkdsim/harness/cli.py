@@ -13,6 +13,7 @@ import sys
 
 from ..adversary import AttackKind, AttackSpec, BasisPolicy
 from ..channel import ChannelSpec
+from ..infotheory import DEFAULT_D_PD_CM
 from ..kinds import ProtocolKind
 from ..protocol import DEFAULT_N_ROUNDS, SessionConfig
 from .config import ConfigError, parse_config
@@ -42,7 +43,7 @@ def _build_parser() -> _Parser:
     curves_p.add_argument("label", choices=["fig2a", "fig2b", "fig2c"])
     curves_p.add_argument("--out", default="out", help="output directory")
     curves_p.add_argument("--points", type=int, default=201)
-    curves_p.add_argument("--d-pd-cm", type=float, default=0.05,
+    curves_p.add_argument("--d-pd-cm", type=float, default=DEFAULT_D_PD_CM,
                           help="control threshold for the truncated curve")
     curves_p.add_argument("--seed", type=int, default=0,
                           help="scenario seed (curves are seed-free analytics)")
@@ -60,7 +61,7 @@ def _build_parser() -> _Parser:
     sweep_p.add_argument("--basis-policy", default="random")
     sweep_p.add_argument("--threshold", action="store_true",
                          help="enable the control-mode abort threshold")
-    sweep_p.add_argument("--d-pd-cm", type=float, default=0.05)
+    sweep_p.add_argument("--d-pd-cm", type=float, default=DEFAULT_D_PD_CM)
 
     sub.add_parser("selftest", help="run the acceptance suite")
     return parser

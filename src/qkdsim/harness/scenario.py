@@ -19,6 +19,7 @@ from ..infotheory import (
     MutualInfoCurve,
     _linspace,
     build_curve,
+    check_d_pd_cm,
     eve_info_mitm,
     mutual_info_ab,
     mutual_info_ae,
@@ -52,7 +53,8 @@ class Scenario:
     """A fully determined reproduction target.
 
     ``n_points`` sizes the curve grids and ``n_rounds`` the table1
-    sessions.  A ``session`` scenario runs ``session`` as given; a
+    sessions.  A ``session`` scenario runs ``session`` as given, and its
+    privacy amplification is seeded from ``session.seed`` as well; a
     ``sweep`` runs it once per presence in ``p_values`` (see
     :meth:`sweep_configs`).  A ValueError names the offending field first.
     """
@@ -74,8 +76,7 @@ class Scenario:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
-        if not 0.0 < self.d_pd_cm < 0.5:
-            raise ValueError(f"d_pd_cm out of (0, 0.5): {self.d_pd_cm!r}")
+        check_d_pd_cm(self.d_pd_cm)
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be positive, got {self.n_rounds!r}")
         if self.name in ("session", "sweep") and self.session is None:
@@ -346,7 +347,7 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     if not transcript.aborted and transcript.alice_key:
         eve_info = _session_eve_info(transcript)
         if eve_info is not None:
-            pa_rng = random.Random(child_seed(sc.seed, 0x70A))
+            pa_rng = random.Random(child_seed(transcript.config.seed, 0x70A))
             secret, spec = privacy_amplify(transcript.alice_key, eve_info,
                                            DEFAULT_SAFETY_BITS, pa_rng)
             summary.append(("pa_eve_info", eve_info))

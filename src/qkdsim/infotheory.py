@@ -28,6 +28,12 @@ DEFAULT_GRID_POINTS = 201
 DEFAULT_D_PD_CM = 0.05
 
 
+def check_d_pd_cm(d_pd_cm: float) -> None:
+    """The predetermined control-mode threshold must lie in (0, 0.5)."""
+    if not 0.0 < d_pd_cm < 0.5:
+        raise ValueError(f"d_pd_cm out of (0, 0.5): {d_pd_cm!r}")
+
+
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
     if not 0.0 <= x <= 1.0:
@@ -139,8 +145,7 @@ def build_curve(label: str, n_points: int = DEFAULT_GRID_POINTS,
             label,
         )
     if label == "fig2c":
-        if not 0.0 < d_pd_cm < 0.5:
-            raise ValueError(f"d_pd_cm out of (0, 0.5): {d_pd_cm!r}")
+        check_d_pd_cm(d_pd_cm)
         grid = _linspace(0.0, d_pd_cm, n_points)
         return MutualInfoCurve(
             grid,

@@ -45,6 +45,7 @@ import numpy as np
 
 from .adversary import AttackKind, AttackSpec, BasisPolicy
 from .channel import ChannelSpec, legs_for
+from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm
 from .kinds import ProtocolKind
 from .postproc import _bit_string
 from .qstate import Basis, BellLabel, CanonState, Encoding
@@ -57,7 +58,6 @@ from .qstate import measure, prepare  # noqa: F401
 
 DISCLOSE_FRACTION = 0.1
 BB84_ABORT_THRESHOLD = 0.11
-DEFAULT_D_PD_CM = 0.05
 DEFAULT_N_ROUNDS = 20000
 
 _Z95 = 1.96
@@ -120,8 +120,7 @@ class SessionConfig:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if not 0.0 <= self.cm_fraction < 1.0:
             raise ValueError(f"cm_fraction out of [0, 1): {self.cm_fraction!r}")
-        if not 0.0 < self.d_pd_cm < 0.5:
-            raise ValueError(f"d_pd_cm out of (0, 0.5): {self.d_pd_cm!r}")
+        check_d_pd_cm(self.d_pd_cm)
         if self.protocol not in _COMPATIBLE_ATTACKS[self.attack.kind]:
             raise ValueError(
                 f"kind {self.attack.kind.value} does not apply to {self.protocol.value}")
@@ -621,27 +620,59 @@ _FIELD_TEXT = (
     ("false", "true"),
     ("false", "true"),
 )
+_FIELD_RADIX = tuple(len(text) for text in _FIELD_TEXT)
+_CSV_BLOCK_ROWS = 1 << 14
+
+
+def _row_codes(cols: RoundColumns, pp: bool) -> np.ndarray:
+    """Each row's fields after the index as one mixed-radix code (uint16)."""
+    prep = np.full(len(cols.cm), 4, np.uint8) if pp else 2 * cols.prep_basis + cols.prep_bit
+    action = cols.acted * np.where(cols.cm, 3 + 2 * cols.act_basis + cols.act_bit,
+                                   1 + cols.act_bit)
+    result = ~cols.lost * (1 + cols.result + np.uint8(2) * (pp & ~cols.cm))
+    code = cols.cm.astype(np.uint16)
+    for radix, field in zip(_FIELD_RADIX[1:], (prep, action, result, cols.lost, cols.eve)):
+        code *= radix
+        code += field
+    return code
 
 
 def write_transcript_csv(transcript: Transcript, fileobj) -> None:
     """One round per line: index, mode, prep, action, result, lost, eve_touched.
 
-    A session has few distinct combinations of the fields after the
-    index, so each distinct row tail is rendered once and shared.
+    The transcript is rendered from the columns one block of rows at a
+    time, with the same bytes as formatting each row on its own.  A
+    session has few distinct combinations of the fields after the index,
+    so each one present is rendered once into a row of a byte table.  A
+    block is a uint8 matrix: the index digits, then the row's table entry,
+    NUL-padded; its non-NUL bytes in row-major order are the block's text.
     """
     cols = transcript.columns
-    pp = transcript.config.protocol is ProtocolKind.PING_PONG
-    prep = np.full(len(cols.cm), 4) if pp else 2 * cols.prep_basis + cols.prep_bit
-    action = cols.acted * np.where(cols.cm, 3 + 2 * cols.act_basis + cols.act_bit,
-                                   1 + cols.act_bit)
-    result = ~cols.lost * (1 + cols.result + 2 * (pp & ~cols.cm))
-    fields = [f.astype(np.intp) for f in (cols.cm, prep, action, result, cols.lost, cols.eve)]
-    code = np.ravel_multi_index(fields, [len(text) for text in _FIELD_TEXT])
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    tails = [",".join(text[field[i]] for text, field in zip(_FIELD_TEXT, fields))
-             for i in first.tolist()]
+    n = len(cols.cm)
+    code = _row_codes(cols, transcript.config.protocol is ProtocolKind.PING_PONG)
+    present = np.zeros(math.prod(_FIELD_RADIX), dtype=bool)
+    present[code] = True
+    distinct = np.flatnonzero(present)
+    slot = np.zeros(len(present), dtype=np.uint16)
+    slot[distinct] = np.arange(len(distinct))
+    tails = [",".join(text[k] for text, k in zip(_FIELD_TEXT, fields))
+             for fields in zip(*np.unravel_index(distinct, _FIELD_RADIX))]
+    digits = len(str(max(n - 1, 0)))
+    width = digits + 2 + max(map(len, tails), default=0)
+    table = np.frombuffer("".join(("\0" * digits + f",{tail}\n").ljust(width, "\0")
+                                  for tail in tails).encode("ascii"), dtype=np.uint8)
+    table = table.reshape(len(tails), width)
     fileobj.write(_HEADER)
-    fileobj.writelines(f"{i},{tails[k]}\n" for i, k in enumerate(inverse.tolist()))
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, n)
+        block = table[slot[code[start:stop]]]
+        index = np.arange(start, stop, dtype=np.uint32)
+        for col in range(digits - 1, -1, -1):
+            index, digit = np.divmod(index, 10)
+            block[:, col] = digit + ord("0")
+        for col in range(digits - 1):  # NUL where the index has fewer digits
+            block[:max(10 ** (digits - 1 - col) - start, 0), col] = 0
+        fileobj.write(block[block != 0].tobytes().decode("ascii"))
 
 
 def transcript_csv(transcript: Transcript) -> str:

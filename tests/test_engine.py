@@ -9,6 +9,7 @@ every protocol and every attack that applies to it.
 import csv
 import io
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec
 from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import (
+    _CSV_BLOCK_ROWS,
     Announcement,
     RoundColumns,
     RoundMode,
@@ -96,6 +98,51 @@ class TestColumnsAgreeWithRecords:
             assert rec.action is None or protocol.is_two_way
             assert isinstance(rec.action, Announcement) == (
                 rec.action is not None and rec.mode is RoundMode.CONTROL)
+
+
+# One pair per kernel family: one-way, LM05, ping-pong.
+FAMILIES = [
+    (ProtocolKind.BB84, AttackKind.INTERCEPT_RESEND),
+    (ProtocolKind.LM05, AttackKind.MITM_LM05),
+    (ProtocolKind.PING_PONG, AttackKind.MITM_PING_PONG),
+]
+# Where the index gains a digit, and the block boundaries of the writer.
+EDGE_ROWS = [1, 9, 10, 11, 99, 100, 101, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+             _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1]
+
+
+@pytest.fixture(scope="module", params=FAMILIES, ids=[p.value for p, _ in FAMILIES])
+def long_session(request):
+    """A lossy, noisy session of max(EDGE_ROWS) rounds and its row-by-row CSV lines."""
+    protocol, attack_kind = request.param
+    transcript = run_session(SessionConfig(
+        protocol=protocol, n_rounds=max(EDGE_ROWS), seed=63,
+        channel=ChannelSpec.for_protocol(protocol, 0.8, 0.05),
+        attack=AttackSpec(attack_kind, 0.6)))
+    return transcript, render_rows(transcript.rounds).splitlines()
+
+
+@pytest.mark.parametrize("n", EDGE_ROWS)
+def test_csv_at_digit_and_block_edges(long_session, n):
+    """The CSV of the first n rounds equals the first n rows of the reference."""
+    transcript, lines = long_session
+    cols = transcript.columns
+    head = replace(transcript, columns=RoundColumns(
+        **{f.name: getattr(cols, f.name)[:n] for f in fields(cols)}))
+    text = transcript_csv(head)
+    # Lines, not one string: a failure then reports the first differing row.
+    assert text.splitlines() == lines[:n + 1] and text.endswith("\n")
+
+
+@pytest.mark.parametrize("protocol,attack_kind", FAMILIES,
+                         ids=[p.value for p, _ in FAMILIES])
+def test_csv_of_session_without_yield(protocol, attack_kind):
+    transcript = run_session(SessionConfig(
+        protocol=protocol, n_rounds=1001, seed=64,
+        channel=ChannelSpec.for_protocol(protocol, 0.0, 0.05),
+        attack=AttackSpec(attack_kind, 0.6)))
+    assert transcript.abort_reason == "no-yield"
+    assert transcript_csv(transcript).splitlines() == render_rows(transcript.rounds).splitlines()
 
 
 def test_empty_round_list():

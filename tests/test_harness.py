@@ -322,6 +322,21 @@ class TestSessionScenario:
         # either nothing or a tiny stub.
         assert "alice_key_hex" in summary and summary["alice_key_hex"].count(":") == 1
 
+    def test_one_seed(self, tmp_path):
+        """Privacy amplification draws from the session's seed, the one the
+        summary reports, whatever the enclosing Scenario's seed."""
+        session = SessionConfig(
+            protocol=ProtocolKind.LM05, n_rounds=3000, seed=9,
+            channel=ChannelSpec.for_protocol(ProtocolKind.LM05),
+            attack=AttackSpec(AttackKind.MITM_LM05, 0.1))
+        paths = [run_scenario(Scenario("session", seed=seed, out_dir=str(tmp_path / str(seed)),
+                                       session=session)).paths[1]
+                 for seed in (5, 6)]
+        with open(paths[0], newline="") as fh:
+            summary = {r["key"]: r["value"] for r in csv.DictReader(fh)}
+        assert summary["seed"] == "9" and summary["secret_key_hex"] != "0:"
+        assert filecmp.cmp(*paths, shallow=False)
+
     def test_rerun_byte_identical(self, tmp_path):
         first = run_scenario(self._scenario(tmp_path / "a"))
         second = run_scenario(self._scenario(tmp_path / "b"))
