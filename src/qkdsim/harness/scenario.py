@@ -53,17 +53,20 @@ class Scenario:
     """A fully determined reproduction target.
 
     ``n_points`` sizes the curve grids and ``n_rounds`` the table1
-    sessions.  A ``session`` scenario runs ``session`` as given, and its
-    privacy amplification is seeded from ``session.seed`` as well; a
-    ``sweep`` runs it once per presence in ``p_values`` (see
-    :meth:`sweep_configs`).  A ValueError names the offending field first.
+    sessions.  ``d_pd_cm`` is the control threshold of the curves and of
+    table1 (None reads ``DEFAULT_D_PD_CM``).  A ``session`` scenario runs
+    ``session`` as given, and its privacy amplification is seeded from
+    ``session.seed`` as well; a ``sweep`` runs it once per presence in
+    ``p_values`` (see :meth:`sweep_configs`).  Both read the threshold
+    from ``session.d_pd_cm`` and reject a ``d_pd_cm`` of their own.  A
+    ValueError names the offending field first.
     """
 
     name: str
     seed: int
     out_dir: str = "out"
     n_points: int = 201
-    d_pd_cm: float = DEFAULT_D_PD_CM
+    d_pd_cm: float | None = None
     link: LinkBudget = LinkBudget()
     n_rounds: int = DEFAULT_N_ROUNDS
     session: SessionConfig | None = None
@@ -76,7 +79,11 @@ class Scenario:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
-        check_d_pd_cm(self.d_pd_cm)
+        if self.d_pd_cm is not None:
+            if self.name in ("session", "sweep"):
+                raise ValueError(f"d_pd_cm: a {self.name} scenario reads session.d_pd_cm, "
+                                 f"got {self.d_pd_cm!r}")
+            check_d_pd_cm(self.d_pd_cm)
         if self.n_rounds < 1:
             raise ValueError(f"n_rounds must be positive, got {self.n_rounds!r}")
         if self.name in ("session", "sweep") and self.session is None:
@@ -85,6 +92,11 @@ class Scenario:
             if not self.p_values:
                 raise ValueError("p_values: a sweep needs at least one presence")
             self.sweep_configs()  # every grid point must make a valid session
+
+    @property
+    def cm_threshold(self) -> float:
+        """The control threshold of a curve or table1 scenario."""
+        return DEFAULT_D_PD_CM if self.d_pd_cm is None else self.d_pd_cm
 
     def sweep_configs(self) -> list[SessionConfig]:
         """The session of each sweep point: the template at presence p, seeded per point."""
@@ -209,7 +221,7 @@ def curve_svg(curve: MutualInfoCurve) -> str:
 
 
 def _run_curve_scenario(sc: Scenario, out: Path) -> ScenarioResult:
-    curve = build_curve(sc.name, sc.n_points, sc.d_pd_cm)
+    curve = build_curve(sc.name, sc.n_points, sc.cm_threshold)
     csv_path = out / f"{sc.name}.csv"
     _write_rows(csv_path, ["d", "i_ab", "i_ae"],
                 zip(curve.d_grid, curve.i_ab, curve.i_ae))
@@ -236,7 +248,7 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             cm_fraction=0.0 if protocol is ProtocolKind.BB84 else 0.2,
             channel=ChannelSpec.for_protocol(protocol),
             attack=_TABLE_ATTACKS[protocol],
-            d_pd_cm=sc.d_pd_cm,
+            d_pd_cm=sc.cm_threshold,
         )
         transcript = run_session(cfg)
         est = transcript.disturbance
@@ -253,8 +265,8 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             modes = "MM+CM"
             i_ab = 1.0
             if protocol is ProtocolKind.MCAS_BB84:
-                max_disturbance = sc.d_pd_cm
-                secure_for = f"d_cm < {sc.d_pd_cm}"
+                max_disturbance = sc.cm_threshold
+                secure_for = f"d_cm < {sc.cm_threshold}"
             else:
                 max_disturbance = None
                 secure_for = "undefined"

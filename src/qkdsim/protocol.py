@@ -407,26 +407,55 @@ def abort_decision(est: DisturbanceEstimate, cfg: SessionConfig) -> bool:
 class _Draws:
     """Bulk draws for one session, n rounds at a time, from its rng.
 
-    A uniform is a 53-bit integer k taken from ``randbytes``, standing
-    for u = k / 2**53 as in ``random.random``.  A Bernoulli(p) is u < p,
-    evaluated exactly as k < ceil(p * 2**53), so p = 0 never fires and
+    A Bernoulli(p) is u < p for a uniform u = k / 2**53, evaluated
+    exactly as k < T with T = ceil(p * 2**53), so p = 0 never fires and
     p = 1 always does; a constant p of 0 or 1 draws nothing.  ``p`` may
-    be a per-round array.
+    be a per-round array.  See :meth:`bernoulli` for how k is drawn.
     """
 
     def __init__(self, rng: random.Random, n: int):
         self._rng = rng
         self.n = n
 
+    def _bytes(self, count: int) -> np.ndarray:
+        return np.frombuffer(self._rng.randbytes(count), dtype=np.uint8)
+
     def bits(self) -> np.ndarray:
-        raw = np.frombuffer(self._rng.randbytes((self.n + 7) // 8), dtype=np.uint8)
+        raw = self._bytes((self.n + 7) // 8)
         return np.unpackbits(raw, count=self.n, bitorder="little")
 
     def bernoulli(self, p) -> np.ndarray:
-        if np.ndim(p) == 0 and p in (0.0, 1.0):
-            return np.full(self.n, p == 1.0)
-        k = np.frombuffer(self._rng.randbytes(8 * self.n), dtype="<u8") >> 11
-        return k < np.ceil(np.multiply(p, _TWO_POW_53)).astype(np.uint64)
+        """One coin per round, about one stream byte each (Knuth & Yao).
+
+        Each coin compares a 56-bit uniform V with 8 * T one byte at a
+        time, most significant first; floor(V / 8) is uniform on
+        [0, 2**53), so V < 8 * T is exactly k < T.  Every round draws its
+        first byte, in one ``randbytes(n)``; the rounds whose bytes so far
+        all equal the threshold's then draw their next byte together, in
+        round order, and so on for up to seven bytes.  A coin costs
+        1 + 1/255 bytes on average.
+        """
+        constant = np.ndim(p) == 0
+        if constant:
+            if p in (0.0, 1.0):
+                return np.full(self.n, p == 1.0)
+            # A Python int keeps every comparison in uint8.
+            threshold = 8 * math.ceil(p * 2 ** 53)
+        else:
+            threshold = np.ceil(np.multiply(p, _TWO_POW_53)).astype(np.uint64) << 3
+        # The top byte is not masked: where p = 1 it is 256, above every draw.
+        top = threshold >> 48
+        byte = self._bytes(self.n)
+        out = byte < top
+        tied = np.flatnonzero(byte == top)
+        for shift in (40, 32, 24, 16, 8, 0):
+            if not tied.size:
+                break
+            limb = (threshold if constant else threshold[tied]) >> shift & 0xFF
+            byte = self._bytes(tied.size)
+            out[tied[byte < limb]] = True
+            tied = tied[byte == limb]
+        return out
 
 
 def _traverse(draws: _Draws, spec: ChannelSpec, legs: int) -> tuple[np.ndarray, np.ndarray]:

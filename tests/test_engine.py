@@ -88,7 +88,10 @@ class TestColumnsAgreeWithRecords:
 
     def test_csv_matches_row_rendering(self, protocol, attack_kind):
         transcript = lossy_noisy_session(protocol, attack_kind)
-        assert transcript_csv(transcript) == render_rows(transcript.rounds)
+        text = transcript_csv(transcript)
+        # Lines, not one string: a failure then reports the first differing row.
+        assert text.splitlines() == render_rows(transcript.rounds).splitlines()
+        assert text.endswith("\n")
 
     def test_records_round_trip(self, protocol, attack_kind):
         transcript = lossy_noisy_session(protocol, attack_kind)

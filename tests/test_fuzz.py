@@ -1,4 +1,5 @@
-"""Property tests over config-file text: every file runs or fails cleanly.
+"""Property tests: every config file runs or fails cleanly, and every
+session keeps the run invariants.
 
 Hypothesis runs derandomized with a fixed example budget, so the suite
 draws the same examples on every run.  The end-to-end cases keep every
@@ -7,14 +8,21 @@ session at most 2000 rounds and every grid at most 5 points.
 
 import contextlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim.adversary import MIN_FIDELITY, AttackKind, AttackSpec, BasisPolicy, eve_accuracy
+from qkdsim.channel import ChannelSpec
 from qkdsim.harness import ConfigError, parse_config
 from qkdsim.harness.cli import main
+from qkdsim.kinds import ProtocolKind
+from qkdsim.protocol import _COMPATIBLE_ATTACKS, SessionConfig, _sift_mask, run_session
 
 
 def _fuzz(max_examples):
@@ -205,3 +213,69 @@ def test_cli_run_exits_cleanly(case):
             assert not out.exists()
         else:
             assert fault in ("none", "noise") and out.is_dir()
+
+
+def _in(lo, hi):
+    """Floats in [lo, hi]: both ends, a grid of 100 steps and arbitrary floats."""
+    return st.one_of(st.sampled_from([lo, hi]),
+                     st.integers(1, 99).map(lambda i: lo + (hi - lo) * i / 100),
+                     st.floats(lo, hi))
+
+
+_PAIRS = sorted(((p, k) for k, protocols in _COMPATIBLE_ATTACKS.items() for p in protocols),
+                key=lambda pair: (pair[0].value, pair[1].value))
+# Attacks whose copy of a message bit is exact on a noiseless line.
+_EXACT_COPY = (AttackKind.MITM_PING_PONG, AttackKind.MITM_LM05, AttackKind.MITM_MCAS_X)
+
+
+@st.composite
+def session_configs(draw, protocol, kind):
+    """Keyword arguments of a SessionConfig for a compatible protocol x attack
+    pair; cm_fraction 1 and odd legs for two-way protocols are invalid."""
+    return dict(
+        protocol=protocol, n_rounds=draw(st.integers(1, 2000) | st.just(2000)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)), cm_fraction=draw(_in(0.0, 1.0)),
+        channel=ChannelSpec(draw(_in(0.0, 1.0)), draw(st.just(0.0) | _in(0.0, 0.5)),
+                            draw(st.sampled_from([None, None, 1, 2, 3, 4]))),
+        attack=AttackSpec(kind, draw(_in(0.0, 1.0)), draw(st.sampled_from(BasisPolicy)),
+                          draw(_in(MIN_FIDELITY, 1.0)), draw(_in(MIN_FIDELITY, 1.0))),
+        d_pd_cm=draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+        enforce_cm_threshold=draw(st.booleans()))
+
+
+def _rate_ok(value) -> bool:
+    return value is None or math.isnan(value) or 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("protocol,kind", _PAIRS,
+                         ids=[f"{p.value}-{k.value}" for p, k in _PAIRS])
+@_fuzz(60)
+@given(data=st.data())
+def test_session_invariants(protocol, kind, data):
+    kwargs = data.draw(session_configs(protocol, kind))
+    try:
+        cfg = SessionConfig(**kwargs)
+    except ValueError:
+        return
+    transcript = run_session(cfg)
+    cols = transcript.columns
+    alice, bob, eve = transcript.alice_key, transcript.bob_key, transcript.eve_key
+    assert len(alice) == len(bob) == len(eve)
+    if transcript.abort_reason == "no-yield":
+        assert cols.lost.all() and not alice
+        return
+    sifted = _sift_mask(cfg.protocol, cols)
+    assert not (cols.disclosed & ~sifted).any()
+    key_rounds = np.flatnonzero(sifted & ~cols.disclosed)
+    assert len(key_rounds) == len(alice)
+    # Eve's key is aligned: position i is round key_rounds[i], '?' where she
+    # holds no bit, and she holds bits only on rounds she engaged.
+    eve_bit = cols.eve_bit[key_rounds]
+    assert eve == "".join("?" if b < 0 else str(b) for b in eve_bit.tolist())
+    assert cols.eve[key_rounds][eve_bit >= 0].all()
+    if cfg.attack.kind in _EXACT_COPY and cfg.channel.flip_prob == 0.0:
+        assert all(e == a for e, a in zip(eve, alice) if e != "?")
+    est = transcript.disturbance
+    acc = eve_accuracy(transcript)
+    for rate in (est.d_mm, est.d_cm, est.half_width_95, acc.coverage, acc.accuracy):
+        assert _rate_ok(rate), (rate, est, acc)

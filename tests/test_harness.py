@@ -18,7 +18,7 @@ from qkdsim.harness import (
     run_scenario,
 )
 from qkdsim.harness.cli import main
-from qkdsim.infotheory import critical_disturbance
+from qkdsim.infotheory import DEFAULT_D_PD_CM, critical_disturbance
 from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import SessionConfig
 
@@ -182,6 +182,25 @@ class TestOneValidationPath:
             Scenario("sweep", seed=1, session=session, p_values=(0.5, 1.5))
         with pytest.raises(ValueError, match="^p_values"):
             Scenario("sweep", seed=1, session=session)
+
+    def test_session_scenarios_take_no_threshold_of_their_own(self, tmp_path):
+        """session and sweep read session.d_pd_cm; a Scenario.d_pd_cm would be ignored."""
+        session = SessionConfig(protocol=ProtocolKind.MCAS_BB84, seed=3, n_rounds=2000,
+                                attack=AttackSpec(AttackKind.MITM_MCAS_X, 0.2))
+        for d_pd_cm in (0.05, 0.3):
+            with pytest.raises(ValueError, match="^d_pd_cm"):
+                Scenario("session", seed=3, session=session, d_pd_cm=d_pd_cm)
+            with pytest.raises(ValueError, match="^d_pd_cm"):
+                Scenario("sweep", seed=3, session=session, p_values=(0.2,), d_pd_cm=d_pd_cm)
+        for name in ("fig2c", "table1"):
+            assert Scenario(name, seed=3).cm_threshold == DEFAULT_D_PD_CM
+            assert Scenario(name, seed=3, d_pd_cm=0.3).cm_threshold == 0.3
+            with pytest.raises(ValueError, match="^d_pd_cm"):
+                Scenario(name, seed=3, d_pd_cm=0.5)
+        # The threshold still reaches a config-file session through its SessionConfig.
+        path, _ = config_with(tmp_path, "session", "scenario", "d_pd_cm", "0.3")
+        sc = parse_config(path)
+        assert sc.d_pd_cm is None and sc.session.d_pd_cm == 0.3
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--protocol", "lm05", "--attack", "mitm_lm05", "--p-grid", "0:1:2",
