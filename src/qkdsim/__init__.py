@@ -67,13 +67,8 @@ from .qstate import (
     BellLabel,
     CanonState,
     Encoding,
-    PureState,
     apply_encoding,
-    basis_flip,
-    bell_measure,
-    canon_for,
     measure,
-    pp_encode,
     prepare,
 )
 

@@ -20,7 +20,6 @@ Eve's presence is drawn per round (Bernoulli p), which makes the
 control-mode detection rate exactly p/2 in expectation.
 """
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -28,25 +27,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .qstate import (
-    Basis,
-    BellLabel,
-    CanonState,
-    Encoding,
-    PureState,
-    apply_encoding,
-    bell_measure,
-    canon_for,
-    measure,
-    pp_encode,
-    prepare,
-)
+from .qstate import Basis, BellLabel, CanonState, Encoding, apply_encoding, measure, prepare
 
 if TYPE_CHECKING:  # pragma: no cover
     from .protocol import Transcript
 
 _BASES = (Basis.Z, Basis.X)
-_CANON = (CanonState.ZERO, CanonState.ONE, CanonState.PLUS, CanonState.MINUS)
 
 MIN_FIDELITY = 0.5
 
@@ -130,60 +116,32 @@ def xi_from_fidelities(f0: float, f_plus: float) -> float:
 class AncillaInteraction:
     """Two-parameter probe coupling with configurable basis fidelities.
 
-    The isometry keeps a computational input in place with probability
-    f0 and a diagonal one with probability f_plus.  The kept and flipped
-    branches attach probe states in orthogonal subspaces, so the carrier
-    leaves as a classical keep/flip mixture in its own basis; probe
-    states within a subspace overlap by 2 f_plus - 1, which is what lets
-    f_plus vary while fully orthogonal probes would pin it to 1/2.
-    Construction verifies isometry numerically and rejects violations.
+    The probe isometry keeps a computational input in place with
+    probability f0 and a diagonal one with probability f_plus.  The kept
+    and flipped branches attach probe states in orthogonal subspaces, so
+    the carrier leaves as a classical keep/flip mixture in its own basis;
+    probe states within a subspace overlap by 2 f_plus - 1, which is what
+    lets f_plus vary while fully orthogonal probes would pin it to 1/2.
+    For every f0 and f_plus in [1/2, 1] the isometry exists, and the
+    reduced carrier state is all the protocols ever observe;
+    ``tests/test_adversary.py`` builds the isometry and checks the branch
+    weights exactly.
     """
 
     def __init__(self, f0: float, f_plus: float):
         _check_fidelities(f0, f_plus)
         self.f0 = f0
         self.f_plus = f_plus
-        overlap = 2.0 * f_plus - 1.0
-        keep = math.sqrt(f0)
-        leak = math.sqrt(1.0 - f0)
-        ortho = math.sqrt(max(0.0, 1.0 - overlap * overlap))
-        # Probe vectors in C^4: kept branches live in span{e1, e2},
-        # flipped branches in span{e3, e4}.
-        a0 = np.array([1.0, 0.0, 0.0, 0.0])
-        a1 = np.array([overlap, ortho, 0.0, 0.0])
-        b0 = np.array([0.0, 0.0, 1.0, 0.0])
-        b1 = np.array([0.0, 0.0, overlap, ortho])
-        # Rows indexed by carrier_bit * 4 + probe_index; columns by the
-        # computational input.
-        v = np.zeros((8, 2))
-        v[0:4, 0] = keep * a0
-        v[4:8, 0] = leak * b0
-        v[4:8, 1] = keep * a1
-        v[0:4, 1] = leak * b1
-        gram = v.T @ v
-        if not np.allclose(gram, np.eye(2), atol=1e-10):
-            raise ValueError(f"fidelity configuration is not unitary: V^T V = {gram!r}")
-        self._matrix = v
 
-    def apply(self, state: PureState, basis: Basis, rng: random.Random) -> PureState:
+    def apply(self, state: CanonState, rng: random.Random) -> CanonState:
         """Couple the carrier to a fresh probe and trace the probe out.
 
-        The two branches carry orthogonal probe states for every
-        protocol input, so the reduced carrier state is a keep/flip
-        mixture in ``basis`` and a stochastic collapse reproduces all
-        downstream statistics exactly.
+        The carrier is kept when ``rng.random()`` falls below f0 (Z
+        inputs) or f_plus (X inputs) and flipped within its basis
+        otherwise, which reproduces all downstream statistics exactly.
         """
-        amps = np.array([state.amp0, state.amp1], dtype=complex)
-        joint = self._matrix.astype(complex) @ amps
-        if basis is Basis.Z:
-            kept = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        else:
-            r = 1.0 / math.sqrt(2.0)
-            kept = np.array([r, r]), np.array([r, -r])
-        joint_view = joint.reshape(2, 4)
-        p0 = float(np.sum(np.abs(kept[0].conj() @ joint_view) ** 2))
-        bit = 0 if rng.random() < p0 else 1
-        return prepare(canon_for(basis, bit))
+        keep = self.f0 if state.basis is Basis.Z else self.f_plus
+        return state if rng.random() < keep else state.flipped
 
 
 class EveAccuracy(NamedTuple):
@@ -205,7 +163,7 @@ class EveState:
     def __init__(self, attack: AttackSpec):
         self.copied_bits: dict[int, int] = {}
         self.engaged = False
-        self.delayed_carrier: PureState | BellLabel | None = None
+        self.delayed_carrier: CanonState | BellLabel | None = None
         self.decoy_record: CanonState | BellLabel | None = None
         self.emitted_basis: Basis | None = None
         self._round_index: int | None = None
@@ -241,16 +199,6 @@ def _policy_basis(policy: BasisPolicy, rng: random.Random) -> Basis:
     return _BASES[rng.randrange(2)]
 
 
-def _nominal_basis(state: PureState) -> Basis:
-    """The preparation basis of a protocol carrier (eigenstate up to phase)."""
-    w0 = abs(state.amp0) ** 2
-    if w0 > 1.0 - 1e-9 or w0 < 1e-9:
-        return Basis.Z
-    if abs(w0 - 0.5) < 1e-9:
-        return Basis.X
-    raise ValueError(f"carrier is not a protocol eigenstate: {state!r}")
-
-
 def intervene_forward(attack: AttackSpec, st: EveState, carrier, rng: random.Random):
     """Eve's hook on the outgoing leg (toward the encoding party).
 
@@ -263,10 +211,10 @@ def intervene_forward(attack: AttackSpec, st: EveState, carrier, rng: random.Ran
     kind = attack.kind
     if kind is AttackKind.MITM_LM05:
         st.delayed_carrier = carrier
-        decoy = _CANON[rng.randrange(4)]
+        decoy = prepare(_BASES[rng.randrange(2)], rng.randrange(2))
         st.decoy_record = decoy
         st.emitted_basis = decoy.basis
-        return prepare(decoy)
+        return decoy
     if kind is AttackKind.MITM_PING_PONG:
         st.delayed_carrier = carrier
         st.decoy_record = BellLabel.PSI_MINUS
@@ -285,7 +233,7 @@ def intervene_forward(attack: AttackSpec, st: EveState, carrier, rng: random.Ran
         st.emitted_basis = Basis.Z
         return post
     if kind is AttackKind.ANCILLA_UBE:
-        return st.ancilla.apply(carrier, _nominal_basis(carrier), rng)
+        return st.ancilla.apply(carrier, rng)
     raise ValueError(f"unknown attack kind: {kind!r}")
 
 
@@ -299,24 +247,19 @@ def intervene_backward(attack: AttackSpec, st: EveState, carrier, rng: random.Ra
     """
     if attack.kind is AttackKind.NO_ATTACK or not st.engaged:
         return carrier
-    kind = attack.kind
-    if kind is AttackKind.MITM_LM05:
+    if attack.kind in (AttackKind.MITM_LM05, AttackKind.MITM_PING_PONG):
         if st.delayed_carrier is None:
             raise RuntimeError("backward hook called without a stored carrier")
         decoy = st.decoy_record
-        bit, _ = measure(carrier, decoy.basis, rng)
-        encoding = Encoding.IDENTITY if bit == decoy.bit else Encoding.IY
+        if attack.kind is AttackKind.MITM_LM05:
+            bit, _ = measure(carrier, decoy.basis, rng)
+            unchanged = bit == decoy.bit
+        else:
+            # Ideal Bell-state discrimination reads the label itself.
+            unchanged = carrier is decoy
+        encoding = Encoding.IDENTITY if unchanged else Encoding.IY
         st._pending_bit = encoding.bit
         out = apply_encoding(st.delayed_carrier, encoding)
-        st.delayed_carrier = None
-        return out
-    if kind is AttackKind.MITM_PING_PONG:
-        if st.delayed_carrier is None:
-            raise RuntimeError("backward hook called without a stored carrier")
-        label = bell_measure(carrier)
-        encoding = Encoding.IDENTITY if label is st.decoy_record else Encoding.IY
-        st._pending_bit = encoding.bit
-        out = pp_encode(st.delayed_carrier, encoding)
         st.delayed_carrier = None
         return out
     # Forward-leg-only strategies leave the return leg untouched.

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .kinds import ProtocolKind
-from .qstate import Basis, BellLabel, PureState, basis_flip
+from .qstate import BellLabel, CanonState
 
 _LEGS = {
     ProtocolKind.BB84: 1,
@@ -43,11 +43,6 @@ class ChannelSpec:
             raise ValueError(f"flip_prob out of [0, 0.5]: {self.flip_prob!r}")
         if self.legs is not None and self.legs < 1:
             raise ValueError(f"legs must be positive, got {self.legs!r}")
-
-    @classmethod
-    def for_protocol(cls, protocol: ProtocolKind, transmittance_per_leg: float = 1.0,
-                     flip_prob: float = 0.0) -> "ChannelSpec":
-        return cls(transmittance_per_leg, flip_prob, legs_for(protocol))
 
 
 @dataclass(frozen=True)
@@ -88,27 +83,20 @@ def path_transmittance(t_leg: float, protocol: ProtocolKind) -> float:
     return t_leg ** legs_for(protocol)
 
 
-def transmit(state: PureState, prep_basis: Basis, spec: ChannelSpec,
-             rng: random.Random) -> PureState | None:
-    """Send a photon through one leg.
+def transmit(carrier: CanonState | BellLabel, spec: ChannelSpec,
+             rng: random.Random) -> CanonState | BellLabel | None:
+    """Send a photon, or a ping-pong pair's travel photon, through one leg.
 
-    Returns None when the photon is lost; otherwise the state, flipped
-    within its preparation basis with probability ``flip_prob``.
+    Returns None when the photon is lost; otherwise the carrier, flipped
+    with probability ``flip_prob``: the other state of its basis, or the
+    other pair label.
     """
     if rng.random() >= spec.transmittance_per_leg:
         return None
     if spec.flip_prob > 0.0 and rng.random() < spec.flip_prob:
-        return basis_flip(state, prep_basis)
-    return state
+        return carrier.flipped
+    return carrier
 
 
-def transmit_bell(label: BellLabel, spec: ChannelSpec, rng: random.Random) -> BellLabel | None:
-    """Symbolic counterpart of `transmit` for entangled pairs.
-
-    A flip toggles the two labels.
-    """
-    if rng.random() >= spec.transmittance_per_leg:
-        return None
-    if spec.flip_prob > 0.0 and rng.random() < spec.flip_prob:
-        return BellLabel.PSI_PLUS if label is BellLabel.PSI_MINUS else BellLabel.PSI_MINUS
-    return label
+# A pair crosses a leg the same way; ``transmit_bell`` names the pair form.
+transmit_bell = transmit

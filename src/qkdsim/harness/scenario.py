@@ -246,7 +246,7 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             n_rounds=sc.n_rounds,
             seed=child_seed(sc.seed, i),
             cm_fraction=0.0 if protocol is ProtocolKind.BB84 else 0.2,
-            channel=ChannelSpec.for_protocol(protocol),
+            channel=ChannelSpec(),
             attack=_TABLE_ATTACKS[protocol],
             d_pd_cm=sc.cm_threshold,
         )

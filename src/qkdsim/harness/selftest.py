@@ -33,7 +33,7 @@ from ..postproc import (
     random_hash_spec,
     universal_hash,
 )
-from ..protocol import RoundMode, SessionConfig, alice_intent_bit, bob_decoded_bit, run_session
+from ..protocol import SessionConfig, _alice_bits, _bob_bits, run_session
 from .scenario import Scenario, run_scenario
 
 _SEED = 987654321
@@ -76,7 +76,7 @@ def _mitm_config(protocol: ProtocolKind, presence: float) -> SessionConfig:
         n_rounds=20000,
         seed=_SEED + int(presence * 100),
         cm_fraction=0.2,
-        channel=ChannelSpec.for_protocol(protocol),
+        channel=ChannelSpec(),
         attack=AttackSpec(_MITM_ATTACK[protocol], presence),
     )
 
@@ -151,10 +151,9 @@ def _check_mitm_mm_undetectable() -> CheckResult:
     for protocol in (ProtocolKind.PING_PONG, ProtocolKind.LM05):
         for presence in (0.25, 0.5, 1.0):
             transcript, runtime = _session(_mitm_config(protocol, presence))
-            flips = sum(
-                1 for rec in transcript.rounds
-                if rec.mode is RoundMode.MESSAGE and not rec.lost
-                and bob_decoded_bit(protocol, rec) != alice_intent_bit(protocol, rec))
+            cols = transcript.columns
+            flips = int(np.count_nonzero(~cols.cm & ~cols.lost & (
+                _bob_bits(protocol, cols) != _alice_bits(protocol, cols))))
             est = transcript.disturbance
             this_ok = flips == 0 and est.d_mm == 0.0 and runtime < 30.0
             ok = ok and this_ok
@@ -174,8 +173,7 @@ def _check_cm_detection() -> CheckResult:
             bound = _four_sigma(expected, est.n_cm)
             this_ok = est.d_cm is not None and abs(est.d_cm - expected) <= bound
             if presence == 1.0:
-                cm_rounds = sum(1 for r in transcript.rounds
-                                if r.mode is RoundMode.CONTROL)
+                cm_rounds = int(np.count_nonzero(transcript.columns.cm))
                 this_ok = this_ok and cm_rounds >= 2000 and 0.47 <= est.d_cm <= 0.53
             ok = ok and this_ok
             details.append(f"{protocol.value}@p={presence}: d_cm={est.d_cm:.4f} "
@@ -216,7 +214,7 @@ def _check_intercept_resend_baseline() -> CheckResult:
         n_rounds=240000,
         seed=_SEED + 11,
         cm_fraction=0.0,
-        channel=ChannelSpec.for_protocol(ProtocolKind.BB84),
+        channel=ChannelSpec(),
         attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM),
     ))
     est = transcript.disturbance
@@ -234,7 +232,7 @@ def _check_mcas_threshold() -> CheckResult:
         n_rounds=20000,
         seed=_SEED + 7,
         cm_fraction=0.2,
-        channel=ChannelSpec.for_protocol(ProtocolKind.MCAS_BB84),
+        channel=ChannelSpec(),
         attack=AttackSpec(AttackKind.MITM_MCAS_X, presence),
     ))[0] for presence in (0.5, 0.04))
     hot_est = hot.disturbance
@@ -357,7 +355,7 @@ def _check_determinism() -> CheckResult:
         protocol=ProtocolKind.LM05,
         n_rounds=2000,
         seed=_SEED + 21,
-        channel=ChannelSpec.for_protocol(ProtocolKind.LM05, 0.9, 0.01),
+        channel=ChannelSpec(0.9, 0.01),
         attack=AttackSpec(AttackKind.MITM_LM05, 0.5),
     )
     identical = True

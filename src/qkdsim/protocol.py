@@ -50,8 +50,9 @@ from .kinds import ProtocolKind
 from .postproc import _bit_string
 from .qstate import Basis, BellLabel, CanonState, Encoding
 
-# The per-round primitives stay attributes of this module: the
-# benchmark's traced run (perfbench/tracing.py) wraps these names here.
+# The per-round primitives stay attributes of this module, and adversary
+# keeps its own measure and prepare: the benchmark's traced run
+# (perfbench/tracing.py) wraps these names in both places.
 from .adversary import intervene_backward, intervene_forward  # noqa: F401
 from .channel import transmit, transmit_bell  # noqa: F401
 from .qstate import measure, prepare  # noqa: F401
@@ -190,18 +191,6 @@ class RoundColumns:
     eve_bit: np.ndarray
     disclosed: np.ndarray
 
-    @classmethod
-    def from_records(cls, rounds) -> "RoundColumns":
-        """Columns of a RoundRecord list (Eve's inferred bits are not recorded)."""
-        rows = [_record_codes(rec) for rec in rounds]
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), 11).T
-        flags = table.astype(bool)
-        bits = table.astype(np.uint8)
-        return cls(cm=flags[0], prep_basis=bits[1], prep_bit=bits[2], acted=flags[3],
-                   act_basis=bits[4], act_bit=bits[5], bob_basis=bits[6], result=bits[7],
-                   lost=flags[8], eve=flags[9], eve_bit=np.full(len(rows), -1, np.int8),
-                   disclosed=flags[10])
-
     def records(self, protocol: ProtocolKind) -> list[RoundRecord]:
         """The rounds as RoundRecord objects."""
         two_way = protocol.is_two_way
@@ -228,28 +217,6 @@ class RoundColumns:
                 _LABELS[0] if pp else _CANON[2 * pb + pbit], action, bob_basis, result,
                 lost, eve, disclosed))
         return out
-
-
-def _record_codes(rec: RoundRecord) -> tuple:
-    prep = rec.prep
-    prep_codes = (0, 0) if isinstance(prep, BellLabel) else (_BASES.index(prep.basis), prep.bit)
-    action = rec.action
-    if action is None:
-        act_codes = (0, 0, 0)
-    elif isinstance(action, Announcement):
-        act_codes = (1, _BASES.index(action.basis), action.bit)
-    else:
-        act_codes = (1, 0, action.bit)
-    result = rec.bob_result
-    if isinstance(result, BellLabel):
-        result = _LABELS.index(result)
-    return (rec.mode is RoundMode.CONTROL, *prep_codes, *act_codes,
-            0 if rec.bob_basis is None else _BASES.index(rec.bob_basis),
-            0 if result is None else result, rec.lost, rec.eve_touched, rec.disclosed)
-
-
-def _as_columns(rounds) -> RoundColumns:
-    return rounds if isinstance(rounds, RoundColumns) else RoundColumns.from_records(rounds)
 
 
 @dataclass(frozen=True)
@@ -298,22 +265,6 @@ def binomial_half_width_95(p_hat: float, n: int) -> float:
     return _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
-def alice_intent_bit(protocol: ProtocolKind, rec: RoundRecord) -> int:
-    """The key bit Alice committed to in a message round."""
-    if protocol.is_two_way:
-        return rec.action.bit
-    return rec.prep.bit
-
-
-def bob_decoded_bit(protocol: ProtocolKind, rec: RoundRecord) -> int:
-    """The key bit Bob decodes from his raw result in a message round."""
-    if protocol is ProtocolKind.PING_PONG:
-        return 0 if rec.bob_result is BellLabel.PSI_MINUS else 1
-    if protocol is ProtocolKind.LM05:
-        return rec.bob_result ^ rec.prep.bit
-    return rec.bob_result
-
-
 def _alice_bits(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
     return cols.act_bit if protocol.is_two_way else cols.prep_bit
 
@@ -333,15 +284,14 @@ def _sift_mask(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
     return keep
 
 
-def sift(protocol: ProtocolKind, rounds) -> tuple[str, str]:
-    """Distill the key pair from round columns or a RoundRecord list.
+def sift(protocol: ProtocolKind, cols: RoundColumns) -> tuple[str, str]:
+    """Distill the key pair from a session's round columns.
 
     BB84 keeps basis-matched message rounds, the asymmetric variant
     keeps computational-basis ones, and the two-way protocols keep every
     non-lost message round (no basis reconciliation).  Disclosed rounds
     are excluded.
     """
-    cols = _as_columns(rounds)
     key = _sift_mask(protocol, cols) & ~cols.disclosed
     return (_bit_string(_alice_bits(protocol, cols)[key]),
             _bit_string(_bob_bits(protocol, cols)[key]))
@@ -359,9 +309,8 @@ def _cm_check(protocol: ProtocolKind, cols: RoundColumns) -> tuple[np.ndarray, n
     return np.zeros_like(live), np.zeros_like(live)
 
 
-def estimate_disturbance(protocol: ProtocolKind, rounds) -> DisturbanceEstimate:
+def estimate_disturbance(protocol: ProtocolKind, cols: RoundColumns) -> DisturbanceEstimate:
     """Flip rates from the disclosed message sample and the control checks."""
-    cols = _as_columns(rounds)
     sample = cols.disclosed & ~cols.lost
     n_mm = int(np.count_nonzero(sample))
     mm_fail = int(np.count_nonzero(

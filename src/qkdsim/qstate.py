@@ -1,25 +1,24 @@
-"""Minimal quantum-state kernel for the protocol simulations.
+"""Canonical carrier states and the per-round operations on them.
 
-Two-level pure states with the polarization identification |H> = |0> and
-|V> = |1>.  The Z basis is the computational one {|0>, |1>}, X is the
-diagonal one {|+>, |->}.  Bit convention: Zero and Plus carry bit 0, One
-and Minus carry bit 1.
+Polarization identification |H> = |0> and |V> = |1>.  The Z basis is
+the computational one {|0>, |1>}, X is the diagonal one {|+>, |->}.  Bit
+convention: Zero and Plus carry bit 0, One and Minus carry bit 1.
+
+Every carrier the protocols build is one of these four states, so a
+carrier is its :class:`CanonState` and every Born probability is 0, 1/2
+or 1: a measurement in the carrier's own basis returns its bit, one in
+the other basis a fair coin.  The flip iY toggles the bit within the
+basis; the global phase it leaves on |0> and |-> is invisible to any
+measurement and is not kept.
 
 Entangled carrier pairs for the ping-pong protocol are kept symbolic: the
 protocol only ever toggles between the two anticorrelated Bell states and
 discriminates them at a beam splitter, so a label plus toggle operations
-is an exact model.  Global phases are carried as computed and never
-normalized away; they are invisible to ``measure``.
+is an exact model.
 """
 
-import math
 import random
-from dataclasses import dataclass
 from enum import Enum
-
-NORM_TOL = 1e-12
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class Basis(Enum):
@@ -47,6 +46,11 @@ class CanonState(Enum):
     def bit(self) -> int:
         return 0 if self in (CanonState.ZERO, CanonState.PLUS) else 1
 
+    @property
+    def flipped(self) -> "CanonState":
+        """The other state of the same basis."""
+        return prepare(self.basis, 1 - self.bit)
+
 
 class Encoding(Enum):
     """Alice's message operation: identity encodes 0, the flip iY encodes 1."""
@@ -73,90 +77,40 @@ class BellLabel(Enum):
     PSI_MINUS = "psi_minus"
     PSI_PLUS = "psi_plus"
 
+    @property
+    def flipped(self) -> "BellLabel":
+        """The other label: the half-wave-plate flip toggles the two."""
+        return BellLabel.PSI_PLUS if self is BellLabel.PSI_MINUS else BellLabel.PSI_MINUS
 
-@dataclass(frozen=True)
-class PureState:
-    """Normalized amplitude pair over {|0>, |1>}."""
-
-    amp0: complex
-    amp1: complex
-
-    def __post_init__(self):
-        norm = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |amp|^2 = {norm!r}")
-
-
-_STATE_OF = {
-    CanonState.ZERO: PureState(1.0 + 0.0j, 0.0 + 0.0j),
-    CanonState.ONE: PureState(0.0 + 0.0j, 1.0 + 0.0j),
-    CanonState.PLUS: PureState(_INV_SQRT2 + 0.0j, _INV_SQRT2 + 0.0j),
-    CanonState.MINUS: PureState(_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
-}
 
 _CANON_FOR = {(s.basis, s.bit): s for s in CanonState}
 
 
-def canon_for(basis: Basis, bit: int) -> CanonState:
+def prepare(basis: Basis, bit: int) -> CanonState:
     """The canonical state carrying `bit` in `basis`."""
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     return _CANON_FOR[(basis, bit)]
 
 
-def prepare(state: CanonState) -> PureState:
-    """Amplitudes of one of the four protocol states."""
-    return _STATE_OF[state]
+def measure(state: CanonState, basis: Basis, rng: random.Random) -> tuple[int, CanonState]:
+    """Projective measurement of a canonical state.
 
-
-def measure(state: PureState, basis: Basis, rng: random.Random) -> tuple[int, PureState]:
-    """Projective measurement with Born statistics.
-
-    Returns the outcome bit and the post-measurement eigenstate.  The
-    outcome is deterministic given the rng stream.
+    Returns the outcome bit and the post-measurement eigenstate: the
+    state's own bit in its basis, a fair coin from ``rng.random()`` in
+    the other.
     """
-    if basis is Basis.Z:
-        p0 = abs(state.amp0) ** 2
-    else:
-        p0 = abs((state.amp0 + state.amp1) * _INV_SQRT2) ** 2
-    bit = 0 if rng.random() < p0 else 1
-    return bit, _STATE_OF[_CANON_FOR[(basis, bit)]]
+    if basis is state.basis:
+        return state.bit, state
+    bit = 0 if rng.random() < 0.5 else 1
+    return bit, prepare(basis, bit)
 
 
-def apply_encoding(state: PureState, encoding: Encoding) -> PureState:
-    """Apply I or the flip iY = ZX.
+def apply_encoding(carrier: CanonState | BellLabel,
+                   encoding: Encoding) -> CanonState | BellLabel:
+    """Apply I or the flip iY = ZX to a photon or a stored pair.
 
-    iY maps (amp0, amp1) to (amp1, -amp0): it sends |0> to -|1>, |1> to
-    |0>, |+> to |-> and |-> to -|+>.  Phases are kept as computed.
+    iY sends |0> to |1>, |1> to |0>, |+> to |-> and |-> to |+> (up to
+    global phase); on a pair it toggles the two labels.
     """
-    if encoding is Encoding.IDENTITY:
-        return state
-    return PureState(state.amp1, -state.amp0)
-
-
-def basis_flip(state: PureState, basis: Basis) -> PureState:
-    """Flip a state within a basis: X gate for Z, Z gate for X."""
-    if basis is Basis.Z:
-        return PureState(state.amp1, state.amp0)
-    return PureState(state.amp0, -state.amp1)
-
-
-def pp_encode(label: BellLabel, encoding: Encoding) -> BellLabel:
-    """Ping-pong encoding on a stored pair.
-
-    The identity returns the pair unchanged; the half-wave-plate flip
-    (sign change of the vertical polarization) toggles the two labels.
-    """
-    if encoding is Encoding.IDENTITY:
-        return label
-    if label is BellLabel.PSI_MINUS:
-        return BellLabel.PSI_PLUS
-    return BellLabel.PSI_MINUS
-
-
-def bell_measure(label: BellLabel) -> BellLabel:
-    """Ideal Bell-state discrimination (split vs bunch).
-
-    Noise is injected upstream by the channel module, never here.
-    """
-    return label
+    return carrier if encoding is Encoding.IDENTITY else carrier.flipped

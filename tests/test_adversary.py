@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qkdsim.adversary import (
@@ -19,22 +20,8 @@ from qkdsim.adversary import (
 )
 from qkdsim.channel import ChannelSpec
 from qkdsim.kinds import ProtocolKind
-from qkdsim.protocol import (
-    RoundMode,
-    SessionConfig,
-    alice_intent_bit,
-    bob_decoded_bit,
-    run_session,
-)
-from qkdsim.qstate import (
-    Basis,
-    BellLabel,
-    CanonState,
-    Encoding,
-    apply_encoding,
-    measure,
-    prepare,
-)
+from qkdsim.protocol import RoundMode, SessionConfig, run_session
+from qkdsim.qstate import Basis, BellLabel, CanonState, Encoding, apply_encoding
 
 
 def intercept_resend_error_oracle(policy="random"):
@@ -146,14 +133,14 @@ class TestForwardHook:
         attack = AttackSpec()
         st = EveState(attack)
         st.begin_round(0, attack, random.Random(0))
-        carrier = prepare(CanonState.PLUS)
+        carrier = CanonState.PLUS
         assert intervene_forward(attack, st, carrier, random.Random(1)) is carrier
 
     def test_not_engaged_passthrough(self):
         attack = AttackSpec(AttackKind.MITM_LM05, 0.0)
         st = EveState(attack)
         st.begin_round(0, attack, random.Random(0))
-        carrier = prepare(CanonState.PLUS)
+        carrier = CanonState.PLUS
         assert intervene_forward(attack, st, carrier, random.Random(1)) is carrier
 
     def test_lm05_decoy_uniform_and_storage(self):
@@ -163,10 +150,10 @@ class TestForwardHook:
         for i in range(400):
             st = EveState(attack)
             st.begin_round(i, attack, rng)
-            carrier = prepare(CanonState.PLUS)
+            carrier = CanonState.PLUS
             decoy_state = intervene_forward(attack, st, carrier, rng)
             assert st.delayed_carrier is carrier
-            assert decoy_state == prepare(st.decoy_record)
+            assert decoy_state is st.decoy_record
             seen.add(st.decoy_record)
         assert seen == set(CanonState)
 
@@ -187,14 +174,14 @@ class TestForwardHook:
             for i in range(50):
                 st = EveState(attack)
                 st.begin_round(i, attack, rng)
-                out = intervene_forward(attack, st, prepare(state), rng)
-                assert out == prepare(state)
+                out = intervene_forward(attack, st, state, rng)
+                assert out is state
         outs = set()
         for i in range(100):
             st = EveState(attack)
             st.begin_round(i, attack, rng)
-            outs.add(intervene_forward(attack, st, prepare(CanonState.PLUS), rng))
-        assert outs == {prepare(CanonState.ZERO), prepare(CanonState.ONE)}
+            outs.add(intervene_forward(attack, st, CanonState.PLUS, rng))
+        assert outs == {CanonState.ZERO, CanonState.ONE}
 
 
 class TestBackwardHook:
@@ -210,13 +197,11 @@ class TestBackwardHook:
         attack = AttackSpec(AttackKind.MITM_LM05, 1.0)
         rng = random.Random(6)
         st = self._engaged_state(attack, rng)
-        genuine = prepare(CanonState.PLUS)
-        intervene_forward(attack, st, genuine, rng)
-        returned = apply_encoding(prepare(st.decoy_record), Encoding.IY)
+        intervene_forward(attack, st, CanonState.PLUS, rng)
+        returned = apply_encoding(st.decoy_record, Encoding.IY)
         out = intervene_backward(attack, st, returned, rng)
         assert st._pending_bit == 1
-        expected = apply_encoding(genuine, Encoding.IY)
-        assert out == expected
+        assert out is CanonState.MINUS
         assert st.delayed_carrier is None
 
     def test_pp_inference_and_replay(self):
@@ -233,13 +218,13 @@ class TestBackwardHook:
         rng = random.Random(8)
         st = self._engaged_state(attack, rng)
         with pytest.raises(RuntimeError, match="stored carrier"):
-            intervene_backward(attack, st, prepare(CanonState.ZERO), rng)
+            intervene_backward(attack, st, CanonState.ZERO, rng)
 
     def test_not_engaged_passthrough(self):
         attack = AttackSpec(AttackKind.MITM_LM05, 0.0)
         st = EveState(attack)
         st.begin_round(0, attack, random.Random(9))
-        carrier = prepare(CanonState.ONE)
+        carrier = CanonState.ONE
         assert intervene_backward(attack, st, carrier, random.Random(10)) is carrier
 
 
@@ -250,17 +235,20 @@ class TestMitmInvariants:
     ])
     @pytest.mark.parametrize("presence", [0.3, 1.0])
     def test_flip_free_in_mm(self, protocol, attack_kind, presence):
-        """Every engaged message round decodes exactly as encoded."""
+        """Every engaged message round returns the encoded preparation."""
         cfg = SessionConfig(
             protocol=protocol, n_rounds=4000, seed=42,
-            channel=ChannelSpec.for_protocol(protocol),
+            channel=ChannelSpec(),
             attack=AttackSpec(attack_kind, presence))
         transcript = run_session(cfg)
         engaged_mm = 0
         for rec in transcript.rounds:
             if rec.mode is RoundMode.MESSAGE and not rec.lost and rec.eve_touched:
                 engaged_mm += 1
-                assert bob_decoded_bit(protocol, rec) == alice_intent_bit(protocol, rec)
+                returned = apply_encoding(rec.prep, rec.action)
+                if protocol is ProtocolKind.LM05:
+                    returned = returned.bit  # measured in the preparation basis
+                assert rec.bob_result == returned
         assert engaged_mm > 0
 
     @pytest.mark.parametrize("protocol,attack_kind", [
@@ -272,7 +260,7 @@ class TestMitmInvariants:
         the encoded bit (noiseless line)."""
         cfg = SessionConfig(
             protocol=protocol, n_rounds=4000, seed=43,
-            channel=ChannelSpec.for_protocol(protocol),
+            channel=ChannelSpec(),
             attack=AttackSpec(attack_kind, 0.7))
         transcript = run_session(cfg)
         assert "?" in transcript.eve_key or transcript.eve_key
@@ -285,7 +273,7 @@ class TestMitmInvariants:
         matches the enumerated 1/4 within 4 sigma."""
         cfg = SessionConfig(
             protocol=ProtocolKind.BB84, n_rounds=240000, seed=44, cm_fraction=0.0,
-            channel=ChannelSpec.for_protocol(ProtocolKind.BB84),
+            channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM))
         transcript = run_session(cfg)
         est = transcript.disturbance
@@ -299,7 +287,7 @@ class TestMitmInvariants:
         """Fixed-basis interception shows the same enumerated rate."""
         cfg = SessionConfig(
             protocol=ProtocolKind.BB84, n_rounds=40000, seed=45, cm_fraction=0.0,
-            channel=ChannelSpec.for_protocol(ProtocolKind.BB84),
+            channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, policy))
         est = run_session(cfg).disturbance
         expected = float(intercept_resend_error_oracle(policy.value))
@@ -314,7 +302,7 @@ class TestMitmInvariants:
         expected = 2 * q * (1 - q)
         cfg = SessionConfig(
             protocol=ProtocolKind.LM05, n_rounds=60000, seed=52,
-            channel=ChannelSpec.for_protocol(ProtocolKind.LM05, 1.0, q),
+            channel=ChannelSpec(1.0, q),
             attack=AttackSpec(AttackKind.MITM_LM05, 1.0))
         transcript = run_session(cfg)
         est = transcript.disturbance
@@ -330,7 +318,7 @@ class TestMitmInvariants:
         for presence in (0.0, 1.0):
             cfg = SessionConfig(
                 protocol=ProtocolKind.LM05, n_rounds=40000, seed=53,
-                channel=ChannelSpec.for_protocol(ProtocolKind.LM05, 0.8, 0.0),
+                channel=ChannelSpec(0.8, 0.0),
                 attack=AttackSpec(AttackKind.MITM_LM05, presence))
             transcript = run_session(cfg)
             rates.append(sum(1 for r in transcript.rounds if r.lost) / 40000)
@@ -341,7 +329,7 @@ class TestMitmInvariants:
     def test_mcas_attack_never_flips_message_rounds(self):
         cfg = SessionConfig(
             protocol=ProtocolKind.MCAS_BB84, n_rounds=8000, seed=45,
-            channel=ChannelSpec.for_protocol(ProtocolKind.MCAS_BB84),
+            channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.MITM_MCAS_X, 1.0))
         transcript = run_session(cfg)
         for rec in transcript.rounds:
@@ -358,7 +346,7 @@ class TestCoverageModel:
         from qkdsim.infotheory import eve_info_mitm
         cfg = SessionConfig(
             protocol=ProtocolKind.LM05, n_rounds=20000, seed=51,
-            channel=ChannelSpec.for_protocol(ProtocolKind.LM05),
+            channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.MITM_LM05, presence))
         transcript = run_session(cfg)
         est = transcript.disturbance
@@ -369,55 +357,81 @@ class TestCoverageModel:
         assert abs(coverage - model) <= 4 * (sigma_cov + sigma_model)
 
 
+def probe_isometry(f0, f_plus):
+    """The probe isometry V as an 8 x 2 matrix.
+
+    Rows are indexed by carrier_bit * 4 + probe_index, columns by the
+    computational input.  Kept branches attach probe states in
+    span{e1, e2}, flipped ones in span{e3, e4}; within a subspace the two
+    probe states overlap by 2 f_plus - 1.
+    """
+    overlap = 2.0 * f_plus - 1.0
+    keep, leak = math.sqrt(f0), math.sqrt(1.0 - f0)
+    ortho = math.sqrt(1.0 - overlap * overlap)
+    v = np.zeros((8, 2))
+    v[0:4, 0] = keep * np.array([1.0, 0.0, 0.0, 0.0])
+    v[4:8, 0] = leak * np.array([0.0, 0.0, 1.0, 0.0])
+    v[4:8, 1] = keep * np.array([overlap, ortho, 0.0, 0.0])
+    v[0:4, 1] = leak * np.array([0.0, 0.0, overlap, ortho])
+    return v
+
+
+class ScriptedRandom:
+    """An rng whose random() returns the given values, then fails."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+FIDELITY_PAIRS = [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.75, 0.8), (0.9, 0.6)]
+
+
 class TestAncillaInteraction:
     def test_construction_validates_range(self):
         with pytest.raises(ValueError):
             AncillaInteraction(0.3, 1.0)
 
-    @pytest.mark.parametrize("f0,f_plus", [
-        (1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.75, 0.8), (0.9, 0.6),
-    ])
-    def test_forward_tomography(self, f0, f_plus):
-        """Empirical keep rates per input state match the configured
-        fidelities within 4 sigma (25k shots per state)."""
+    @pytest.mark.parametrize("f0,f_plus", FIDELITY_PAIRS)
+    def test_apply_keeps_exactly_below_fidelity(self, f0, f_plus):
+        """One random() draw u per call: the carrier is kept exactly when
+        u < f0 (computational inputs) or u < f_plus (diagonal inputs),
+        and otherwise leaves as the other state of its basis."""
         interaction = AncillaInteraction(f0, f_plus)
-        rng = random.Random(46)
-        n = 25000
         for state in CanonState:
             target = f0 if state.basis is Basis.Z else f_plus
-            kept = 0
-            psi = prepare(state)
-            for _ in range(n):
-                out = interaction.apply(psi, state.basis, rng)
-                bit, _ = measure(out, state.basis, rng)
-                if bit == state.bit:
-                    kept += 1
-            bound = 4 * math.sqrt(max(target * (1 - target), 1e-12) / n) + 1e-9
-            assert abs(kept / n - target) <= bound
+            draws = {0.0, math.nextafter(target, 0.0), target,
+                     math.nextafter(target, 1.0), math.nextafter(1.0, 0.0)}
+            for u in sorted(d for d in draws if d < 1.0):
+                rng = ScriptedRandom([u])
+                want = state if u < target else state.flipped
+                assert interaction.apply(state, rng) is want
+                with pytest.raises(StopIteration):
+                    rng.random()
 
     def test_no_attack_configuration_is_identity(self):
         interaction = AncillaInteraction(1.0, 1.0)
         rng = random.Random(47)
         for state in CanonState:
-            out = interaction.apply(prepare(state), state.basis, rng)
-            assert out == prepare(state)
+            assert interaction.apply(state, rng) is state
 
     def test_branch_probes_orthogonal_with_exact_weights(self):
-        """The keep and flip branches attach orthogonal probe states for
-        every protocol input, with branch weights equal to the configured
-        fidelities.  This is what makes the stochastic collapse an exact
-        model of the carrier's reduced state."""
-        import numpy as np
-
+        """V is an isometry, and the keep and flip branches attach
+        orthogonal probe states for every protocol input, with branch
+        weights equal to the configured fidelities.  This is what makes
+        the keep/flip coin of ``apply`` an exact model of the carrier's
+        reduced state."""
         r = 2 ** -0.5
         eig = {(Basis.Z, 0): np.array([1.0, 0.0]), (Basis.Z, 1): np.array([0.0, 1.0]),
                (Basis.X, 0): np.array([r, r]), (Basis.X, 1): np.array([r, -r])}
         for f0 in (0.5, 0.75, 1.0):
             for f_plus in (0.5, 0.8, 1.0):
-                matrix = AncillaInteraction(f0, f_plus)._matrix
+                matrix = probe_isometry(f0, f_plus)
+                assert np.allclose(matrix.T @ matrix, np.eye(2), rtol=0.0, atol=1e-12)
                 for state in CanonState:
-                    psi = prepare(state)
-                    joint = (matrix @ np.array([psi.amp0, psi.amp1])).reshape(2, 4)
+                    joint = (matrix @ eig[(state.basis, state.bit)]).reshape(2, 4)
                     keep = eig[(state.basis, state.bit)].conj() @ joint
                     flip = eig[(state.basis, 1 - state.bit)].conj() @ joint
                     assert abs(np.vdot(keep, flip)) < 1e-12
@@ -427,7 +441,7 @@ class TestAncillaInteraction:
     def test_session_with_ancilla_attack_runs(self):
         cfg = SessionConfig(
             protocol=ProtocolKind.LM05, n_rounds=20000, seed=48,
-            channel=ChannelSpec.for_protocol(ProtocolKind.LM05),
+            channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.ANCILLA_UBE, 1.0, f0=1.0, f_plus=0.5))
         transcript = run_session(cfg)
         # The forward probe scrambles half the diagonal rounds; the
@@ -439,7 +453,7 @@ class TestEveAccuracy:
     def _transcript(self, presence, seed=49):
         cfg = SessionConfig(
             protocol=ProtocolKind.LM05, n_rounds=8000, seed=seed,
-            channel=ChannelSpec.for_protocol(ProtocolKind.LM05),
+            channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.MITM_LM05, presence))
         return run_session(cfg)
 

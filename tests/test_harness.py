@@ -324,7 +324,7 @@ class TestSessionScenario:
     def _scenario(self, tmp_path, presence=1.0, seed=5):
         session = SessionConfig(
             protocol=ProtocolKind.LM05, n_rounds=1500, seed=seed,
-            channel=ChannelSpec.for_protocol(ProtocolKind.LM05),
+            channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.MITM_LM05, presence))
         return Scenario("session", seed=seed, out_dir=str(tmp_path), session=session)
 
@@ -346,7 +346,7 @@ class TestSessionScenario:
         summary reports, whatever the enclosing Scenario's seed."""
         session = SessionConfig(
             protocol=ProtocolKind.LM05, n_rounds=3000, seed=9,
-            channel=ChannelSpec.for_protocol(ProtocolKind.LM05),
+            channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.MITM_LM05, 0.1))
         paths = [run_scenario(Scenario("session", seed=seed, out_dir=str(tmp_path / str(seed)),
                                        session=session)).paths[1]

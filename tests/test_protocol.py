@@ -1,7 +1,9 @@
 """Tests for the protocol state machines, sifting and disturbance logic."""
 
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from qkdsim.adversary import AttackKind, AttackSpec
@@ -10,18 +12,18 @@ from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import (
     Announcement,
     DisturbanceEstimate,
+    RoundColumns,
     RoundMode,
-    RoundRecord,
     SessionConfig,
     abort_decision,
-    alice_intent_bit,
-    bob_decoded_bit,
     estimate_disturbance,
     run_session,
     sift,
     transcript_csv,
 )
-from qkdsim.qstate import Basis, BellLabel, CanonState, Encoding
+from qkdsim.qstate import BellLabel, Encoding
+
+_FLAGS = ("cm", "acted", "lost", "eve", "disclosed")
 
 
 def make_cfg(protocol, n_rounds=2000, seed=7, attack=None, channel=None, **kw):
@@ -29,10 +31,23 @@ def make_cfg(protocol, n_rounds=2000, seed=7, attack=None, channel=None, **kw):
         protocol=protocol,
         n_rounds=n_rounds,
         seed=seed,
-        channel=channel or ChannelSpec.for_protocol(protocol),
+        channel=channel or ChannelSpec(),
         attack=attack or AttackSpec(),
         **kw,
     )
+
+
+def make_columns(n, **given):
+    """n kept message rounds with all codes 0, except the given columns.
+
+    Basis codes are 0 for Z and 1 for X; a value broadcasts over the rounds.
+    """
+    cols = {f.name: np.zeros(n, dtype=bool if f.name in _FLAGS else np.uint8)
+            for f in fields(RoundColumns)}
+    cols["eve_bit"] = np.full(n, -1, dtype=np.int8)
+    for name, value in given.items():
+        cols[name][:] = value
+    return RoundColumns(**cols)
 
 
 class TestCleanSessions:
@@ -83,7 +98,7 @@ class TestNoiseComposition:
         error rate converges to 2q(1-q) (flip out xor flip back)."""
         q = 0.05
         cfg = make_cfg(ProtocolKind.LM05, 40000, seed=11,
-                       channel=ChannelSpec.for_protocol(ProtocolKind.LM05, 1.0, q))
+                       channel=ChannelSpec(1.0, q))
         transcript = run_session(cfg)
         expected = 2 * q * (1 - q)
         est = transcript.disturbance
@@ -116,35 +131,22 @@ class TestLoss:
 
 
 class TestSift:
-    def _mm_record(self, idx, protocol, prep, encoding, result, bob_basis=None):
-        return RoundRecord(idx, RoundMode.MESSAGE, prep, encoding, bob_basis,
-                           result, False, False)
-
     def test_lm05_keeps_all_message_rounds(self):
-        rounds = [self._mm_record(i, ProtocolKind.LM05, CanonState.ZERO,
-                                  Encoding.IDENTITY, 0) for i in range(1000)]
-        alice, bob = sift(ProtocolKind.LM05, rounds)
+        alice, bob = sift(ProtocolKind.LM05, make_columns(1000, acted=True))
         assert len(alice) == len(bob) == 1000
 
     def test_bb84_keeps_matching_bases(self):
-        rounds = [
-            self._mm_record(0, ProtocolKind.BB84, CanonState.ZERO, None, 0, Basis.Z),
-            self._mm_record(1, ProtocolKind.BB84, CanonState.ZERO, None, 1, Basis.X),
-            self._mm_record(2, ProtocolKind.BB84, CanonState.PLUS, None, 0, Basis.X),
-        ]
-        alice, bob = sift(ProtocolKind.BB84, rounds)
-        assert (alice, bob) == ("00", "00")
+        # Preparations ZERO, ZERO, PLUS; Bob measures in Z, X, X.
+        cols = make_columns(3, prep_basis=[0, 0, 1], bob_basis=[0, 1, 1], result=[0, 1, 0])
+        assert sift(ProtocolKind.BB84, cols) == ("00", "00")
 
     def test_lost_rounds_never_contribute(self):
-        rounds = [RoundRecord(0, RoundMode.MESSAGE, CanonState.ZERO, None, Basis.Z,
-                              None, True, False)]
-        assert sift(ProtocolKind.BB84, rounds) == ("", "")
+        assert sift(ProtocolKind.BB84, make_columns(1, lost=True)) == ("", "")
 
     def test_disclosed_rounds_removed(self):
-        rounds = [self._mm_record(i, ProtocolKind.LM05, CanonState.ZERO,
-                                  Encoding.IY, 1) for i in range(10)]
-        rounds[3].disclosed = True
-        alice, bob = sift(ProtocolKind.LM05, rounds)
+        cols = make_columns(10, acted=True, act_bit=1, result=1)
+        cols.disclosed[3] = True
+        alice, bob = sift(ProtocolKind.LM05, cols)
         assert len(alice) == 9
 
     def test_keys_equal_length_always(self):
@@ -186,19 +188,16 @@ class TestDisturbanceEstimation:
         assert transcript.disturbance.n_cm == 0
 
     def test_half_width_formula(self):
-        est = estimate_disturbance(ProtocolKind.LM05, [
-            RoundRecord(i, RoundMode.CONTROL, CanonState.ZERO,
-                        Announcement(Basis.Z, 1 if i < 25 else 0), None,
-                        1, False, False)
-            for i in range(100)
-        ])
+        # Preparation ZERO, announced in Z: outcome 1 in the first 25 rounds.
+        est = estimate_disturbance(ProtocolKind.LM05, make_columns(
+            100, cm=True, acted=True, act_bit=[1] * 25 + [0] * 75, result=1))
         assert est.d_cm == 0.25
         assert est.half_width_95 == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 100))
 
     def test_lm05_mismatched_bases_discarded(self):
-        rec = RoundRecord(0, RoundMode.CONTROL, CanonState.ZERO,
-                          Announcement(Basis.X, 0), None, 0, False, False)
-        est = estimate_disturbance(ProtocolKind.LM05, [rec])
+        # Preparation ZERO, announcement X:0.
+        est = estimate_disturbance(ProtocolKind.LM05, make_columns(
+            1, cm=True, acted=True, act_basis=1))
         assert est.n_cm == 0 and est.d_cm is None
 
 
@@ -242,7 +241,7 @@ class TestDeterminism:
             ProtocolKind.MCAS_BB84: AttackSpec(AttackKind.MITM_MCAS_X, 0.5),
         }[protocol]
         cfg = make_cfg(protocol, 800, seed=18, attack=attack,
-                       channel=ChannelSpec.for_protocol(protocol, 0.9, 0.01))
+                       channel=ChannelSpec(0.9, 0.01))
         first = run_session(cfg)
         second = run_session(cfg)
         assert transcript_csv(first) == transcript_csv(second)
@@ -304,9 +303,3 @@ class TestConfigValidation:
     def test_two_way_needs_even_legs(self):
         with pytest.raises(ValueError, match="even leg count"):
             make_cfg(ProtocolKind.LM05, channel=ChannelSpec(1.0, 0.0, legs=3))
-
-    def test_intent_and_decode_helpers(self):
-        rec = RoundRecord(0, RoundMode.MESSAGE, CanonState.PLUS, Encoding.IY, None,
-                          1, False, False)
-        assert alice_intent_bit(ProtocolKind.LM05, rec) == 1
-        assert bob_decoded_bit(ProtocolKind.LM05, rec) == 1  # outcome 1 xor prep bit 0

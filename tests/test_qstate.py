@@ -1,4 +1,4 @@
-"""Tests for the quantum-state kernel."""
+"""Tests for the canonical-state kernel."""
 
 import math
 import random
@@ -10,82 +10,51 @@ from qkdsim.qstate import (
     BellLabel,
     CanonState,
     Encoding,
-    PureState,
     apply_encoding,
-    basis_flip,
-    bell_measure,
-    canon_for,
     measure,
-    pp_encode,
     prepare,
 )
-
-R = 1.0 / math.sqrt(2.0)
-
-
-def born_z0(state):
-    """Independent Born-rule oracle: P(outcome 0) in Z."""
-    return abs(state.amp0) ** 2
-
-
-def born_x0(state):
-    """Independent Born-rule oracle: P(outcome 0) in X."""
-    return abs((state.amp0 + state.amp1) / math.sqrt(2.0)) ** 2
 
 
 class TestPreparation:
     def test_zero(self):
-        s = prepare(CanonState.ZERO)
-        assert (s.amp0, s.amp1) == (1.0, 0.0)
+        assert prepare(Basis.Z, 0) is CanonState.ZERO
 
     def test_plus(self):
-        s = prepare(CanonState.PLUS)
-        assert s.amp0 == pytest.approx(R)
-        assert s.amp1 == pytest.approx(R)
+        assert prepare(Basis.X, 0) is CanonState.PLUS
 
     def test_minus(self):
-        s = prepare(CanonState.MINUS)
-        assert s.amp0 == pytest.approx(R)
-        assert s.amp1 == pytest.approx(-R)
+        assert prepare(Basis.X, 1) is CanonState.MINUS
 
-    @pytest.mark.parametrize("state", list(CanonState))
-    def test_normalized(self, state):
-        s = prepare(state)
-        assert abs(abs(s.amp0) ** 2 + abs(s.amp1) ** 2 - 1.0) < 1e-12
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            PureState(1.0, 1.0)
-
-    def test_canon_for_roundtrip(self):
+    def test_prepare_roundtrip(self):
         for state in CanonState:
-            assert canon_for(state.basis, state.bit) is state
+            assert prepare(state.basis, state.bit) is state
 
-    def test_canon_for_bad_bit(self):
+    def test_prepare_bad_bit(self):
         with pytest.raises(ValueError):
-            canon_for(Basis.Z, 2)
+            prepare(Basis.Z, 2)
 
 
 class TestMeasurement:
     def test_zero_in_z_deterministic(self):
         rng = random.Random(1)
         for _ in range(200):
-            bit, post = measure(prepare(CanonState.ZERO), Basis.Z, rng)
+            bit, post = measure(CanonState.ZERO, Basis.Z, rng)
             assert bit == 0
-            assert post == prepare(CanonState.ZERO)
+            assert post is CanonState.ZERO
 
     def test_minus_in_x_deterministic(self):
         """Minus carries bit 1 in the diagonal basis, with certainty."""
         rng = random.Random(2)
         for _ in range(200):
-            bit, _ = measure(prepare(CanonState.MINUS), Basis.X, rng)
+            bit, _ = measure(CanonState.MINUS, Basis.X, rng)
             assert bit == 1
 
     def test_plus_in_z_unbiased(self):
         """|+> in Z is a fair coin within 3 sigma."""
         rng = random.Random(3)
         n = 20000
-        ones = sum(measure(prepare(CanonState.PLUS), Basis.Z, rng)[0] for _ in range(n))
+        ones = sum(measure(CanonState.PLUS, Basis.Z, rng)[0] for _ in range(n))
         sigma = math.sqrt(n * 0.25)
         assert abs(ones - n / 2) <= 3 * sigma
 
@@ -93,65 +62,47 @@ class TestMeasurement:
     def test_matching_basis_recovers_bit(self, state):
         rng = random.Random(4)
         for _ in range(50):
-            bit, _ = measure(prepare(state), state.basis, rng)
+            bit, _ = measure(state, state.basis, rng)
             assert bit == state.bit
 
-    def test_born_frequencies_general_state(self):
-        """Empirical frequencies track |<e|s>|^2 within 4 sigma for a
-        state away from any eigenstate."""
-        state = PureState(0.6, 0.8)
-        rng = random.Random(5)
-        n = 100000
-        for basis, oracle in ((Basis.Z, born_z0), (Basis.X, born_x0)):
-            p0 = oracle(state)
-            zeros = sum(1 for _ in range(n) if measure(state, basis, rng)[0] == 0)
-            bound = 4 * math.sqrt(p0 * (1 - p0) / n)
-            assert abs(zeros / n - p0) <= bound
+    @pytest.mark.parametrize("state", list(CanonState))
+    def test_cross_basis_outcome_is_the_coin(self, state):
+        """A cross-basis measurement reads 0 exactly when random() < 1/2
+        and leaves the eigenstate it found."""
+        other = Basis.X if state.basis is Basis.Z else Basis.Z
+        for u, want in ((0.0, 0), (0.5 - 2 ** -53, 0), (0.5, 1), (1 - 2 ** -53, 1)):
+            rng = random.Random()
+            rng.random = lambda u=u: u
+            assert measure(state, other, rng) == (want, prepare(other, want))
 
     def test_post_state_is_eigenstate(self):
         rng = random.Random(6)
-        bit, post = measure(PureState(0.6, 0.8), Basis.X, rng)
-        assert post in (prepare(CanonState.PLUS), prepare(CanonState.MINUS))
+        bit, post = measure(CanonState.ZERO, Basis.X, rng)
+        assert post in (CanonState.PLUS, CanonState.MINUS)
+        assert post.bit == bit
 
 
 class TestEncoding:
     def test_iy_on_zero(self):
-        s = apply_encoding(prepare(CanonState.ZERO), Encoding.IY)
-        assert (s.amp0, s.amp1) == (0.0, -1.0)
+        assert apply_encoding(CanonState.ZERO, Encoding.IY) is CanonState.ONE
 
     def test_iy_on_one(self):
-        s = apply_encoding(prepare(CanonState.ONE), Encoding.IY)
-        assert (s.amp0, s.amp1) == (1.0, 0.0)
+        assert apply_encoding(CanonState.ONE, Encoding.IY) is CanonState.ZERO
 
     def test_iy_on_plus_gives_minus(self):
-        s = apply_encoding(prepare(CanonState.PLUS), Encoding.IY)
-        m = prepare(CanonState.MINUS)
-        assert s.amp0 == pytest.approx(m.amp0) and s.amp1 == pytest.approx(m.amp1)
+        assert apply_encoding(CanonState.PLUS, Encoding.IY) is CanonState.MINUS
 
-    def test_iy_on_minus_gives_negated_plus(self):
-        s = apply_encoding(prepare(CanonState.MINUS), Encoding.IY)
-        assert s.amp0 == pytest.approx(-R) and s.amp1 == pytest.approx(-R)
+    def test_iy_on_minus_gives_plus(self):
+        assert apply_encoding(CanonState.MINUS, Encoding.IY) is CanonState.PLUS
 
     def test_identity(self):
         for state in CanonState:
-            assert apply_encoding(prepare(state), Encoding.IDENTITY) == prepare(state)
+            assert apply_encoding(state, Encoding.IDENTITY) is state
 
-    def test_double_iy_negates(self):
-        state = PureState(0.6, 0.8)
-        twice = apply_encoding(apply_encoding(state, Encoding.IY), Encoding.IY)
-        assert twice.amp0 == -state.amp0 and twice.amp1 == -state.amp1
-
-    def test_double_iy_statistics_unchanged(self):
-        """Global sign is invisible to measurement."""
-        state = PureState(0.28, 0.96)
-        twice = apply_encoding(apply_encoding(state, Encoding.IY), Encoding.IY)
-        assert born_z0(twice) == pytest.approx(born_z0(state), abs=1e-12)
-        assert born_x0(twice) == pytest.approx(born_x0(state), abs=1e-12)
-
-    def test_encoding_preserves_norm(self):
-        state = PureState(0.6, 0.8)
-        out = apply_encoding(state, Encoding.IY)
-        assert abs(abs(out.amp0) ** 2 + abs(out.amp1) ** 2 - 1.0) < 1e-12
+    def test_double_iy_is_identity(self):
+        """iY twice is -I: every state comes back as itself."""
+        for state in CanonState:
+            assert apply_encoding(apply_encoding(state, Encoding.IY), Encoding.IY) is state
 
     def test_bit_mapping(self):
         assert Encoding.IDENTITY.bit == 0 and Encoding.IY.bit == 1
@@ -161,26 +112,23 @@ class TestEncoding:
 
 class TestBasisFlip:
     def test_z_flip_swaps_computational(self):
-        assert basis_flip(prepare(CanonState.ZERO), Basis.Z) == prepare(CanonState.ONE)
+        assert CanonState.ZERO.flipped is CanonState.ONE
+        assert CanonState.ONE.flipped is CanonState.ZERO
 
     def test_x_flip_swaps_diagonal(self):
-        flipped = basis_flip(prepare(CanonState.PLUS), Basis.X)
-        minus = prepare(CanonState.MINUS)
-        assert flipped.amp0 == minus.amp0 and flipped.amp1 == minus.amp1
+        assert CanonState.PLUS.flipped is CanonState.MINUS
+        assert CanonState.MINUS.flipped is CanonState.PLUS
 
 
 class TestBellOperations:
     def test_pp_encode_identity(self):
-        assert pp_encode(BellLabel.PSI_MINUS, Encoding.IDENTITY) is BellLabel.PSI_MINUS
+        assert apply_encoding(BellLabel.PSI_MINUS, Encoding.IDENTITY) is BellLabel.PSI_MINUS
 
     def test_pp_encode_flip(self):
-        assert pp_encode(BellLabel.PSI_MINUS, Encoding.IY) is BellLabel.PSI_PLUS
-        assert pp_encode(BellLabel.PSI_PLUS, Encoding.IY) is BellLabel.PSI_MINUS
+        assert apply_encoding(BellLabel.PSI_MINUS, Encoding.IY) is BellLabel.PSI_PLUS
+        assert apply_encoding(BellLabel.PSI_PLUS, Encoding.IY) is BellLabel.PSI_MINUS
 
     def test_pp_encode_involution(self):
         for label in BellLabel:
-            assert pp_encode(pp_encode(label, Encoding.IY), Encoding.IY) is label
-
-    def test_bell_measure_ideal(self):
-        assert bell_measure(BellLabel.PSI_MINUS) is BellLabel.PSI_MINUS
-        assert bell_measure(BellLabel.PSI_PLUS) is BellLabel.PSI_PLUS
+            twice = apply_encoding(apply_encoding(label, Encoding.IY), Encoding.IY)
+            assert twice is label
