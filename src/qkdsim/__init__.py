@@ -44,7 +44,6 @@ from .postproc import (
     privacy_amplify,
     random_hash_spec,
     universal_hash,
-    verify,
 )
 from .protocol import (
     BB84_ABORT_THRESHOLD,

@@ -152,43 +152,32 @@ class EveAccuracy(NamedTuple):
 
 
 class EveState:
-    """Eve's per-session memory.
+    """Eve's memory within one round of the per-round hooks.
 
-    ``copied_bits`` maps round index to the inferred key bit and grows
-    only on engaged message rounds; inference happens identically on
-    control rounds but the meaningless bit is dropped once the round
-    mode becomes public.
+    ``engaged`` is the round's presence draw.  The copy attacks park the
+    genuine carrier in ``delayed_carrier`` and remember the decoy they
+    sent in ``decoy_record``; ``_pending_bit`` is the key bit Eve
+    inferred in the round, on control rounds as on message rounds.
     """
 
     def __init__(self, attack: AttackSpec):
-        self.copied_bits: dict[int, int] = {}
         self.engaged = False
         self.delayed_carrier: CanonState | BellLabel | None = None
         self.decoy_record: CanonState | BellLabel | None = None
-        self.emitted_basis: Basis | None = None
-        self._round_index: int | None = None
         self._pending_bit: int | None = None
         self.ancilla: AncillaInteraction | None = None
         if attack.kind is AttackKind.ANCILLA_UBE:
             self.ancilla = AncillaInteraction(attack.f0, attack.f_plus)
 
-    def begin_round(self, index: int, attack: AttackSpec, rng: random.Random) -> None:
+    def begin_round(self, attack: AttackSpec, rng: random.Random) -> None:
         """Reset per-round state and draw the engagement flag."""
-        self._round_index = index
         self.delayed_carrier = None
         self.decoy_record = None
-        self.emitted_basis = None
         self._pending_bit = None
         if attack.kind is AttackKind.NO_ATTACK:
             self.engaged = False
         else:
             self.engaged = rng.random() < attack.presence
-
-    def commit_round(self, is_message_mode: bool) -> None:
-        """Keep the round's inferred bit only if the round carried a message."""
-        if is_message_mode and self.engaged and self._pending_bit is not None:
-            self.copied_bits[self._round_index] = self._pending_bit
-        self._pending_bit = None
 
 
 def _policy_basis(policy: BasisPolicy, rng: random.Random) -> Basis:
@@ -213,7 +202,6 @@ def intervene_forward(attack: AttackSpec, st: EveState, carrier, rng: random.Ran
         st.delayed_carrier = carrier
         decoy = prepare(_BASES[rng.randrange(2)], rng.randrange(2))
         st.decoy_record = decoy
-        st.emitted_basis = decoy.basis
         return decoy
     if kind is AttackKind.MITM_PING_PONG:
         st.delayed_carrier = carrier
@@ -223,14 +211,12 @@ def intervene_forward(attack: AttackSpec, st: EveState, carrier, rng: random.Ran
         basis = _policy_basis(attack.basis_policy, rng)
         bit, post = measure(carrier, basis, rng)
         st._pending_bit = bit
-        st.emitted_basis = basis
         return post
     if kind is AttackKind.MITM_MCAS_X:
         # Measure-and-resend in the message basis of the asymmetric
         # protocol (computational states pass through untouched).
         bit, post = measure(carrier, Basis.Z, rng)
         st._pending_bit = bit
-        st.emitted_basis = Basis.Z
         return post
     if kind is AttackKind.ANCILLA_UBE:
         return st.ancilla.apply(carrier, rng)
@@ -269,15 +255,15 @@ def intervene_backward(attack: AttackSpec, st: EveState, carrier, rng: random.Ra
 def eve_accuracy(transcript: "Transcript") -> EveAccuracy:
     """Coverage and correctness of Eve's raw key against the sifted key.
 
-    Key bits Eve never engaged on are excluded rather than scored as
-    guesses; coverage reports the excluded fraction.  Accuracy is None
-    when nothing is covered, and both are NaN/None for an empty key.
+    Key bits Eve never engaged on (-1 in ``eve_key``) are excluded rather
+    than scored as guesses; coverage is the fraction she holds.  Accuracy
+    is None when nothing is covered, and both are NaN/None for an empty
+    key.
     """
-    if not transcript.alice_key:
+    alice, eve = transcript.alice_key, transcript.eve_key
+    if not len(alice):
         return EveAccuracy(float("nan"), None)
-    alice = np.frombuffer(transcript.alice_key.encode("ascii"), dtype=np.uint8)
-    eve = np.frombuffer(transcript.eve_key.encode("ascii"), dtype=np.uint8)
-    covered = eve != ord("?")
+    covered = eve >= 0
     n_covered = int(np.count_nonzero(covered))
     coverage = n_covered / len(alice)
     if not n_covered:

@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from ..adversary import AttackKind, AttackSpec, BasisPolicy, eve_accuracy
 from ..channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for, path_transmittance
 from ..infotheory import (
@@ -145,12 +147,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def bits_to_hex(bits: str) -> str:
-    """Bit string as `<bitlen>:<hex>`; empty strings encode as `0:`."""
-    if not bits:
+def bits_to_hex(bits: np.ndarray) -> str:
+    """A 0/1 bit array as `<bitlen>:<hex>`, first bit most significant.
+
+    The hex digits are the bits read as one binary number, zero-padded to
+    ceil(bitlen / 4) digits; an empty array encodes as `0:`.  This is the
+    only place key material becomes text.
+    """
+    n = len(bits)
+    if not n:
         return "0:"
-    width = (len(bits) + 3) // 4
-    return f"{len(bits)}:{int(bits, 2):0{width}x}"
+    value = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-n % 8)
+    return f"{n}:{value:0{(n + 3) // 4}x}"
 
 
 def _write_rows(path: Path, header, rows) -> None:
@@ -353,10 +361,10 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         ("alice_key_hex", bits_to_hex(transcript.alice_key)),
         ("bob_key_hex", bits_to_hex(transcript.bob_key)),
     ]
-    if transcript.eve_key and "?" not in transcript.eve_key:
+    if len(transcript.eve_key) and (transcript.eve_key >= 0).all():
         summary.append(("eve_key_hex", bits_to_hex(transcript.eve_key)))
 
-    if not transcript.aborted and transcript.alice_key:
+    if not transcript.aborted and len(transcript.alice_key):
         eve_info = _session_eve_info(transcript)
         if eve_info is not None:
             pa_rng = random.Random(child_seed(transcript.config.seed, 0x70A))
@@ -365,7 +373,7 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             summary.append(("pa_eve_info", eve_info))
             summary.append(("pa_output_length", spec.output_len if spec else 0))
             summary.append(("secret_key_hex", bits_to_hex(secret)))
-            if not secret:
+            if not len(secret):
                 summary.append(("pa_abort_reason", NO_PRIVACY_REASON))
 
     summary_path = out / "summary.csv"

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from ..infotheory import binary_entropy, build_curve, critical_disturbance, key_
 from ..kinds import ProtocolKind
 from ..postproc import (
     HashSpec,
-    _bit_array,
     _toeplitz_parity,
+    bit_rows,
     choose_output_length,
     privacy_amplify,
     random_hash_spec,
@@ -188,7 +188,7 @@ def _check_eve_key_copy() -> CheckResult:
         t_full, _ = _session(_mitm_config(protocol, 1.0))
         acc_full = eve_accuracy(t_full)
         full_ok = (acc_full.coverage == 1.0 and acc_full.accuracy == 1.0
-                   and t_full.eve_key == t_full.alice_key)
+                   and np.array_equal(t_full.eve_key, t_full.alice_key))
         t_half, _ = _session(_mitm_config(protocol, 0.5))
         acc_half = eve_accuracy(t_half)
         bound = _four_sigma(0.5, len(t_half.alice_key))
@@ -273,27 +273,19 @@ def _check_table1() -> CheckResult:
 
 def _check_pa_futility() -> CheckResult:
     transcript, _ = _session(_mitm_config(ProtocolKind.LM05, 1.0))
-    copy_ok = transcript.eve_key == transcript.alice_key
+    copy_ok = np.array_equal(transcript.eve_key, transcript.alice_key)
     zero_k = choose_output_length(len(transcript.alice_key), 1.0, 32)
     secret_blocked, spec_blocked = privacy_amplify(
         transcript.alice_key, 1.0, 32, random.Random(_SEED))
-    blocked_ok = zero_k == 0 and secret_blocked == "" and spec_blocked.output_len == 0
+    blocked_ok = zero_k == 0 and not len(secret_blocked) and spec_blocked.output_len == 0
     # With any positive output length, hashing Eve's copy with the public
     # spec reproduces the secret key exactly.
     secret, spec = privacy_amplify(transcript.alice_key, 0.5, 32, random.Random(_SEED))
     leak_ok = (copy_ok and spec.output_len > 0
-               and universal_hash(transcript.eve_key, spec) == secret)
+               and np.array_equal(universal_hash(transcript.eve_key, spec), secret))
     ok = copy_ok and blocked_ok and leak_ok
     return CheckResult(ok, f"copied key exact={copy_ok}, k(eve_info=1)={zero_k}, "
                            f"k={spec.output_len} and Eve's hash matches={leak_ok}")
-
-
-def _bit_rows(values: Iterable[int], width: int) -> np.ndarray:
-    """uint8 bit rows of shape (len(values), width), as f"{v:0{width}b}" spells them."""
-    nbytes = (width + 7) // 8
-    packed = b"".join(v.to_bytes(nbytes, "big") for v in values)
-    raw = np.frombuffer(packed, dtype=np.uint8).reshape(-1, nbytes)
-    return np.unpackbits(raw, axis=1)[:, nbytes * 8 - width:]
 
 
 def _matrix_hash(seed: np.ndarray, x: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -313,12 +305,12 @@ def _check_hash_properties() -> CheckResult:
     rng = random.Random(_SEED)
     m, k = 64, 32
     spec = random_hash_spec(m, k, rng)
-    x = f"{rng.getrandbits(m):0{m}b}"
-    determinism = universal_hash(x, spec) == universal_hash(x, spec)
+    x = bit_rows([rng.getrandbits(m)], m)[0]
+    determinism = np.array_equal(universal_hash(x, spec), universal_hash(x, spec))
 
     pairs = [(rng.getrandbits(m), rng.getrandbits(m)) for _ in range(10000)]
-    a, b = (_bit_rows(column, m) for column in zip(*pairs))
-    seed = np.broadcast_to(_bit_array(spec.seed_bits), (len(pairs), m + k - 1))
+    a, b = (bit_rows(column, m) for column in zip(*pairs))
+    seed = np.broadcast_to(spec.seed_bits, (len(pairs), m + k - 1))
     ha, hb, hx = (_hash_rows(seed, rows, m, k) for rows in (a, b, a ^ b))
     linear = bool(np.array_equal(hx, ha ^ hb))
 
@@ -331,16 +323,15 @@ def _check_hash_properties() -> CheckResult:
             xb = rng.getrandbits(m)
         trials.append((diagonals, xa, xb))
     diagonals, xa, xb = zip(*trials)
-    seeds = _bit_rows(diagonals, m + k - 1)
-    rows_a = _bit_rows(xa, m)
+    seeds = bit_rows(diagonals, m + k - 1)
+    rows_a = bit_rows(xa, m)
     ha = _hash_rows(seeds, rows_a, m, k)
-    hb = _hash_rows(seeds, _bit_rows(xb, m), m, k)
+    hb = _hash_rows(seeds, bit_rows(xb, m), m, k)
     collisions = int(np.all(ha == hb, axis=1).sum())
     # On a sample of the trials the batch must agree with universal_hash
     # and with the matrix definition, which shares no arithmetic with it.
     agree = all(
-        universal_hash(f"{xa[i]:0{m}b}", HashSpec(m, k, f"{diagonals[i]:0{m + k - 1}b}"))
-        == "".join(map(str, ha[i]))
+        np.array_equal(universal_hash(rows_a[i], HashSpec(m, k, seeds[i])), ha[i])
         and np.array_equal(_matrix_hash(seeds[i], rows_a[i], m, k), ha[i])
         for i in range(0, len(trials), 1000))
     ok = determinism and agree and linear and collisions == 0

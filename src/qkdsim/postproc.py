@@ -1,6 +1,7 @@
 """Classical post-processing: hash verification and privacy amplification.
 
-Keys are bit strings of '0'/'1' characters.  The hash family is the
+Keys, hash seeds and hash values are uint8 numpy arrays of 0/1 bits; a
+value other than 0 or 1 is rejected.  The hash family is the
 diagonal-constant (Toeplitz) binary matrix family: a matrix with k rows
 and m columns whose descending diagonals are constant, defined by
 m + k - 1 seed bits.  Distinct inputs collide with probability at most
@@ -21,6 +22,7 @@ erase key bits an eavesdropper already holds.
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +35,37 @@ DEFAULT_SAFETY_BITS = 32
 MAX_HASH_INPUT_BITS = 2 ** 24
 
 
-@dataclass(frozen=True)
+def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
+    """uint8 bit rows of shape (len(values), width), most significant bit first.
+
+    Row i holds the low ``width`` bits of ``values[i]``, in the order
+    f"{values[i]:0{width}b}" spells them.
+    """
+    nbytes = (width + 7) // 8
+    packed = b"".join(v.to_bytes(nbytes, "big") for v in values)
+    raw = np.frombuffer(packed, dtype=np.uint8).reshape(len(values), nbytes)
+    return np.unpackbits(raw, axis=1)[:, nbytes * 8 - width:]
+
+
+def _check_bits(bits: np.ndarray, name: str) -> np.ndarray:
+    """``bits`` as a uint8 array; ValueError when a value is not 0 or 1."""
+    bits = np.asarray(bits)
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError(f"{name} must contain only 0 and 1")
+    return bits.astype(np.uint8, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
 class HashSpec:
     """A member of the diagonal-constant matrix family.
 
-    ``seed_bits`` holds the m + k - 1 diagonal values; entry (i, j) of
-    the matrix is ``seed_bits[m - 1 + i - j]``.
+    ``seed_bits`` is a 0/1 array of the m + k - 1 diagonal values; entry
+    (i, j) of the matrix is ``seed_bits[m - 1 + i - j]``.
     """
 
     input_len: int
     output_len: int
-    seed_bits: str
+    seed_bits: np.ndarray
 
     def __post_init__(self):
         if self.input_len < 1:
@@ -55,23 +77,14 @@ class HashSpec:
         if len(self.seed_bits) != expected:
             raise ValueError(
                 f"seed_bits must have length {expected}, got {len(self.seed_bits)}")
-        if self.seed_bits.strip("01"):
-            raise ValueError("seed_bits must contain only '0' and '1'")
+        _check_bits(self.seed_bits, "seed_bits")
 
 
 def random_hash_spec(input_len: int, output_len: int, rng: random.Random) -> HashSpec:
-    """Draw a uniformly random family member."""
-    n = input_len + output_len - 1
-    seed = f"{rng.getrandbits(n):0{n}b}" if n > 0 else ""
-    return HashSpec(input_len, output_len, seed)
-
-
-def _bit_array(bits: str) -> np.ndarray:
-    return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
-def _bit_string(arr: np.ndarray) -> str:
-    return (arr.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    """Draw a uniformly random family member: its diagonals are one
+    ``rng.getrandbits(m + k - 1)``, most significant bit first."""
+    n = max(input_len + output_len - 1, 0)
+    return HashSpec(input_len, output_len, bit_rows([rng.getrandbits(n)], n)[0])
 
 
 def _toeplitz_parity(seeds: np.ndarray, xs: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -90,12 +103,13 @@ def _toeplitz_parity(seeds: np.ndarray, xs: np.ndarray, m: int, k: int) -> np.nd
     return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
 
 
-def universal_hash(x: str, spec: HashSpec) -> str:
-    """Image of x under the matrix defined by spec, arithmetic mod 2.
+def universal_hash(x: np.ndarray, spec: HashSpec) -> np.ndarray:
+    """Image of the bit array x under the matrix defined by spec, mod 2.
 
-    Row i of the output is the parity of the input masked by diagonal
-    window i.  Raises ValueError when x is not a '0'/'1' string of
-    length ``spec.input_len`` or is longer than ``MAX_HASH_INPUT_BITS``.
+    Returns ``spec.output_len`` uint8 bits: row i of the output is the
+    parity of the input masked by diagonal window i.  Raises ValueError
+    when x does not have length ``spec.input_len``, is longer than
+    ``MAX_HASH_INPUT_BITS`` or holds a value other than 0 and 1.
 
     Exactness: the convolution values are integers in [0, m].  The
     float64 FFT error on them is of order eps * |seed| * |x| * log2(n)
@@ -114,24 +128,15 @@ def universal_hash(x: str, spec: HashSpec) -> str:
     if spec.input_len > MAX_HASH_INPUT_BITS:
         raise ValueError(f"input length {spec.input_len} exceeds "
                          f"MAX_HASH_INPUT_BITS = {MAX_HASH_INPUT_BITS}")
-    vec = _bit_array(x)
-    if vec.max() > 1:
-        raise ValueError("x must contain only '0' and '1'")
+    x = _check_bits(x, "x")
     if spec.output_len == 0:
-        return ""
-    seed = _bit_array(spec.seed_bits)
-    bits = _toeplitz_parity(seed[None], vec[None], spec.input_len, spec.output_len)
-    return _bit_string(bits[0])
+        return np.zeros(0, dtype=np.uint8)
+    return _toeplitz_parity(spec.seed_bits[None], x[None], spec.input_len,
+                            spec.output_len)[0]
 
 
-def verify(fx: str, fy: str) -> bool:
-    """Bitwise equality of two hash values of the same length."""
-    if len(fx) != len(fy):
-        raise ValueError(f"length mismatch: {len(fx)} != {len(fy)}")
-    return fx == fy
-
-
-def ec_verify(alice_key: str, bob_key: str, check_len: int, rng: random.Random) -> bool:
+def ec_verify(alice_key: np.ndarray, bob_key: np.ndarray, check_len: int,
+              rng: random.Random) -> bool:
     """Compare check_len-bit hashes of the two keys under a shared spec.
 
     True means the keys agree except with probability at most
@@ -139,10 +144,10 @@ def ec_verify(alice_key: str, bob_key: str, check_len: int, rng: random.Random) 
     """
     if len(alice_key) != len(bob_key):
         raise ValueError(f"key length mismatch: {len(alice_key)} != {len(bob_key)}")
-    if not alice_key:
+    if not len(alice_key):
         return False
     spec = random_hash_spec(len(alice_key), min(check_len, len(alice_key)), rng)
-    return verify(universal_hash(alice_key, spec), universal_hash(bob_key, spec))
+    return np.array_equal(universal_hash(alice_key, spec), universal_hash(bob_key, spec))
 
 
 def choose_output_length(m: int, eve_info: float, safety: int = DEFAULT_SAFETY_BITS) -> int:
@@ -160,8 +165,8 @@ def choose_output_length(m: int, eve_info: float, safety: int = DEFAULT_SAFETY_B
     return max(0, math.floor(m * (1.0 - eve_info)) - safety)
 
 
-def privacy_amplify(key: str, eve_info: float, safety: int,
-                    rng: random.Random) -> tuple[str, HashSpec | None]:
+def privacy_amplify(key: np.ndarray, eve_info: float, safety: int,
+                    rng: random.Random) -> tuple[np.ndarray, HashSpec | None]:
     """Compress a raw key through a hash spec drawn from ``rng``.
 
     Returns the secret key and the spec, so the peer (who holds the same
@@ -171,7 +176,7 @@ def privacy_amplify(key: str, eve_info: float, safety: int,
     """
     m = len(key)
     if m == 0:
-        return "", None
+        return np.zeros(0, dtype=np.uint8), None
     k = choose_output_length(m, eve_info, safety)
     spec = random_hash_spec(m, k, rng)
     return universal_hash(key, spec), spec

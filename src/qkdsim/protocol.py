@@ -47,7 +47,6 @@ from .adversary import AttackKind, AttackSpec, BasisPolicy
 from .channel import ChannelSpec, legs_for
 from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm
 from .kinds import ProtocolKind
-from .postproc import _bit_string
 from .qstate import Basis, BellLabel, CanonState, Encoding
 
 # The per-round primitives stay attributes of this module, and adversary
@@ -156,7 +155,6 @@ class RoundRecord:
     bob_result: int | BellLabel | None
     lost: bool
     eve_touched: bool
-    disclosed: bool = False
 
 
 @dataclass(eq=False)
@@ -196,10 +194,9 @@ class RoundColumns:
         two_way = protocol.is_two_way
         pp = protocol is ProtocolKind.PING_PONG
         columns = (self.cm, self.prep_basis, self.prep_bit, self.acted, self.act_basis,
-                   self.act_bit, self.bob_basis, self.result, self.lost, self.eve,
-                   self.disclosed)
+                   self.act_bit, self.bob_basis, self.result, self.lost, self.eve)
         out = []
-        for idx, (cm, pb, pbit, acted, ab, abit, bb, res, lost, eve, disclosed) in enumerate(
+        for idx, (cm, pb, pbit, acted, ab, abit, bb, res, lost, eve) in enumerate(
                 zip(*(c.tolist() for c in columns))):
             if not acted:
                 action = None
@@ -215,7 +212,7 @@ class RoundColumns:
             out.append(RoundRecord(
                 idx, RoundMode.CONTROL if cm else RoundMode.MESSAGE,
                 _LABELS[0] if pp else _CANON[2 * pb + pbit], action, bob_basis, result,
-                lost, eve, disclosed))
+                lost, eve))
         return out
 
 
@@ -235,20 +232,21 @@ class DisturbanceEstimate:
     half_width_95: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transcript:
     """Full session log: config echo, round columns, sifted keys and verdict.
 
-    ``eve_key`` is aligned with the sifted keys; '?' marks key bits from
-    rounds Eve did not engage on.  ``rounds`` builds the RoundRecord view
-    of the columns on first access.
+    The keys are uint8 bit arrays.  ``eve_key`` is ``columns.eve_bit`` at
+    the key rounds, so it is aligned with them: int8, with -1 where Eve
+    did not engage.  ``rounds`` builds the RoundRecord view of the
+    columns on first access.
     """
 
     config: SessionConfig
     columns: RoundColumns
-    alice_key: str
-    bob_key: str
-    eve_key: str
+    alice_key: np.ndarray
+    bob_key: np.ndarray
+    eve_key: np.ndarray
     disturbance: DisturbanceEstimate
     aborted: bool
     abort_reason: str | None
@@ -284,8 +282,8 @@ def _sift_mask(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
     return keep
 
 
-def sift(protocol: ProtocolKind, cols: RoundColumns) -> tuple[str, str]:
-    """Distill the key pair from a session's round columns.
+def sift(protocol: ProtocolKind, cols: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Distill the key pair, as uint8 bit arrays, from a session's round columns.
 
     BB84 keeps basis-matched message rounds, the asymmetric variant
     keeps computational-basis ones, and the two-way protocols keep every
@@ -293,8 +291,7 @@ def sift(protocol: ProtocolKind, cols: RoundColumns) -> tuple[str, str]:
     are excluded.
     """
     key = _sift_mask(protocol, cols) & ~cols.disclosed
-    return (_bit_string(_alice_bits(protocol, cols)[key]),
-            _bit_string(_bob_bits(protocol, cols)[key]))
+    return _alice_bits(protocol, cols)[key], _bob_bits(protocol, cols)[key]
 
 
 def _cm_check(protocol: ProtocolKind, cols: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
@@ -560,25 +557,20 @@ def run_session(cfg: SessionConfig) -> Transcript:
     """Execute a full session and return its transcript.
 
     Deterministic given the seed: replaying a config reproduces the
-    transcript bit for bit.
+    transcript bit for bit.  A session that loses every round aborts as
+    "no-yield", with empty keys and no estimate.
     """
     draws = _Draws(random.Random(cfg.seed), cfg.n_rounds)
     cols = _KERNELS[cfg.protocol](cfg, draws)
-    if cols.lost.all():
-        est = DisturbanceEstimate(None, None, 0, 0, 0.0)
-        return Transcript(cfg, cols, "", "", "", est, True, "no-yield")
-
     # Disclose a sample of the sifted bits for the message-mode estimate;
     # disclosed rounds are dropped from the key.
     keep = _sift_mask(cfg.protocol, cols)
     cols.disclosed = keep & draws.bernoulli(DISCLOSE_FRACTION)
 
     alice_key, bob_key = sift(cfg.protocol, cols)
-    eve_bits = cols.eve_bit[keep & ~cols.disclosed]
-    eve_key = np.where(eve_bits < 0, ord("?"), eve_bits + ord("0")).astype(np.uint8)
     est = estimate_disturbance(cfg.protocol, cols)
-    reason = _abort_reason(est, cfg)
-    return Transcript(cfg, cols, alice_key, bob_key, eve_key.tobytes().decode("ascii"),
+    reason = "no-yield" if cols.lost.all() else _abort_reason(est, cfg)
+    return Transcript(cfg, cols, alice_key, bob_key, cols.eve_bit[keep & ~cols.disclosed],
                       est, reason is not None, reason)
 
 

@@ -262,19 +262,21 @@ def test_session_invariants(protocol, kind, data):
     alice, bob, eve = transcript.alice_key, transcript.bob_key, transcript.eve_key
     assert len(alice) == len(bob) == len(eve)
     if transcript.abort_reason == "no-yield":
-        assert cols.lost.all() and not alice
+        assert cols.lost.all() and not len(alice)
         return
     sifted = _sift_mask(cfg.protocol, cols)
     assert not (cols.disclosed & ~sifted).any()
     key_rounds = np.flatnonzero(sifted & ~cols.disclosed)
     assert len(key_rounds) == len(alice)
-    # Eve's key is aligned: position i is round key_rounds[i], '?' where she
+    assert alice.dtype == bob.dtype == np.uint8 and eve.dtype == np.int8
+    assert np.isin(alice, (0, 1)).all() and np.isin(bob, (0, 1)).all()
+    # Eve's key is aligned: position i is round key_rounds[i], -1 where she
     # holds no bit, and she holds bits only on rounds she engaged.
     eve_bit = cols.eve_bit[key_rounds]
-    assert eve == "".join("?" if b < 0 else str(b) for b in eve_bit.tolist())
+    assert np.array_equal(eve, eve_bit) and np.isin(eve, (-1, 0, 1)).all()
     assert cols.eve[key_rounds][eve_bit >= 0].all()
     if cfg.attack.kind in _EXACT_COPY and cfg.channel.flip_prob == 0.0:
-        assert all(e == a for e, a in zip(eve, alice) if e != "?")
+        assert all(e == a for e, a in zip(eve, alice) if e != -1)
     est = transcript.disturbance
     acc = eve_accuracy(transcript)
     for rate in (est.d_mm, est.d_cm, est.half_width_95, acc.coverage, acc.accuracy):

@@ -2,8 +2,10 @@
 
 import csv
 import filecmp
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qkdsim.adversary import AttackKind, AttackSpec
@@ -233,11 +235,34 @@ class TestPGrid:
             parse_p_grid("0:2:3")
 
 
+def hex_oracle(text):
+    """`<bitlen>:<hex>` of a '0'/'1' string, as the reports have always spelled it."""
+    n = len(text)
+    return f"{n}:{int(text, 2):0{(n + 3) // 4}x}" if n else "0:"
+
+
+def bit_array(text):
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
 class TestHexSerialization:
     def test_round_trip(self):
-        assert bits_to_hex("1010") == "4:a"
-        assert bits_to_hex("00001") == "5:01"
-        assert bits_to_hex("") == "0:"
+        assert bits_to_hex(bit_array("1010")) == "4:a"
+        assert bits_to_hex(bit_array("00001")) == "5:01"
+        assert bits_to_hex(bit_array("")) == "0:"
+
+    def test_matches_text_oracle(self):
+        rng = random.Random(30)
+        for n in range(68):
+            for text in (f"{rng.getrandbits(n):0{n}b}" if n else "", "1" * n):
+                assert bits_to_hex(bit_array(text)) == hex_oracle(text), text
+                # Eve's key is int8; with every bit held it renders the same.
+                assert bits_to_hex(bit_array(text).astype(np.int8)) == hex_oracle(text)
+
+    def test_long_key_matches_text_oracle(self):
+        n = 2 ** 20 + 3
+        for text in (f"{random.Random(31).getrandbits(n):0{n}b}", "1" * n):
+            assert bits_to_hex(bit_array(text)) == hex_oracle(text)
 
     def test_child_seed_stable_and_distinct(self):
         a = child_seed(123, 0)

@@ -1,4 +1,6 @@
-"""Tests for universal hashing, verification and the output-length policy."""
+"""Tests for universal hashing, verification and the output-length policy.
+
+Keys, seeds and hash values are uint8 bit arrays."""
 
 import random
 
@@ -9,12 +11,12 @@ from qkdsim.postproc import (
     MAX_HASH_INPUT_BITS,
     HashSpec,
     _toeplitz_parity,
+    bit_rows,
     choose_output_length,
     ec_verify,
     privacy_amplify,
     random_hash_spec,
     universal_hash,
-    verify,
 )
 
 
@@ -26,46 +28,69 @@ def hash_oracle(x, spec):
         acc = 0
         for j in range(m):
             acc ^= int(spec.seed_bits[m - 1 + i - j]) & int(x[j])
-        out.append(str(acc))
-    return "".join(out)
+        out.append(acc)
+    return np.array(out, dtype=np.uint8)
 
 
 def random_bits(rng, n):
-    return f"{rng.getrandbits(n):0{n}b}" if n else ""
+    """n uint8 bits of one rng.getrandbits(n), most significant first."""
+    return np.array([int(c) for c in f"{rng.getrandbits(n):0{n}b}"] if n else [],
+                    dtype=np.uint8)
 
 
-def bit_rows(strings):
-    """uint8 rows of a sequence of equal-length '0'/'1' strings."""
-    strings = list(strings)
-    return np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(
-        len(strings), -1) - ord("0")
+def bits(text):
+    """The uint8 array of a '0'/'1' string."""
+    return np.array([int(c) for c in text], dtype=np.uint8)
 
 
 def convolve_oracle(x, spec):
     """Direct convolution: its valid part is entries m - 1 .. m + k - 2 of seed * x."""
-    seed = bit_rows([spec.seed_bits])[0].astype(np.float64)
-    vec = bit_rows([x])[0].astype(np.float64)
-    full = np.convolve(seed, vec, "valid")
-    return "".join(map(str, full.astype(np.int64) & 1))
+    full = np.convolve(spec.seed_bits.astype(np.float64), x.astype(np.float64), "valid")
+    return (full.astype(np.int64) & 1).astype(np.uint8)
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+# Arrays no key can be: a 2, a 255 and Eve's int8 -1 for "no bit".
+NON_BINARY = [np.array([0, 1, 2, 1], np.uint8), np.array([1, 255, 0, 0], np.uint8),
+              np.array([1, 0, -1, 1], np.int8)]
+
+
+class TestBitRows:
+    def test_matches_binary_spelling(self):
+        rng = random.Random(21)
+        for width in (0, 1, 7, 8, 9, 63, 64, 65, 200):
+            values = [rng.getrandbits(width) for _ in range(5)]
+            rows = bit_rows(values, width)
+            assert rows.dtype == np.uint8 and rows.shape == (5, width)
+            for value, row in zip(values, rows):
+                assert "".join(map(str, row)) == (f"{value:0{width}b}" if width else "")
 
 
 class TestHashSpec:
     def test_seed_length_enforced(self):
         with pytest.raises(ValueError):
-            HashSpec(8, 4, "0" * 10)
+            HashSpec(8, 4, np.zeros(10, np.uint8))
 
     def test_output_len_bounds(self):
         with pytest.raises(ValueError):
-            HashSpec(8, 9, "0" * 16)
+            HashSpec(8, 9, np.zeros(16, np.uint8))
 
     def test_bit_alphabet(self):
-        with pytest.raises(ValueError):
-            HashSpec(4, 2, "01x01")
+        for seed in NON_BINARY:
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                HashSpec(3, 2, seed)
 
     def test_random_spec_shape(self):
         spec = random_hash_spec(16, 8, random.Random(0))
         assert spec.input_len == 16 and spec.output_len == 8
-        assert len(spec.seed_bits) == 23
+        assert len(spec.seed_bits) == 23 and spec.seed_bits.dtype == np.uint8
+        # The diagonals are one getrandbits draw, most significant bit first.
+        value = random.Random(0).getrandbits(23)
+        assert "".join(map(str, spec.seed_bits)) == f"{value:023b}"
 
 
 class TestUniversalHash:
@@ -76,25 +101,25 @@ class TestUniversalHash:
             k = rng.randrange(0, m + 1)
             spec = random_hash_spec(m, k, rng)
             x = random_bits(rng, m)
-            assert universal_hash(x, spec) == hash_oracle(x, spec)
+            assert_bits_equal(universal_hash(x, spec), hash_oracle(x, spec))
 
     def test_zero_output_length(self):
         spec = random_hash_spec(8, 0, random.Random(2))
-        assert universal_hash("10110010", spec) == ""
+        assert_bits_equal(universal_hash(bits("10110010"), spec), bits(""))
 
     def test_equal_inputs_equal_hashes(self):
         spec = random_hash_spec(32, 16, random.Random(3))
         x = random_bits(random.Random(4), 32)
-        assert universal_hash(x, spec) == universal_hash(x, spec)
+        assert np.array_equal(universal_hash(x, spec), universal_hash(x, spec))
 
     def test_zero_seed_gives_zero_output(self):
-        spec = HashSpec(8, 4, "0" * 11)
-        assert universal_hash("11111111", spec) == "0000"
+        spec = HashSpec(8, 4, np.zeros(11, np.uint8))
+        assert_bits_equal(universal_hash(bits("11111111"), spec), bits("0000"))
 
     def test_length_mismatch_rejected(self):
         spec = random_hash_spec(8, 4, random.Random(5))
         with pytest.raises(ValueError):
-            universal_hash("101", spec)
+            universal_hash(bits("101"), spec)
 
     def test_linearity(self):
         """hash(x xor y) = hash(x) xor hash(y) for the matrix family."""
@@ -103,7 +128,7 @@ class TestUniversalHash:
         trials = [(random_hash_spec(m, k, rng), random_bits(rng, m), random_bits(rng, m))
                   for _ in range(2000)]
         specs, xs, ys = zip(*trials)
-        seeds, a, b = bit_rows(s.seed_bits for s in specs), bit_rows(xs), bit_rows(ys)
+        seeds, a, b = np.stack([s.seed_bits for s in specs]), np.stack(xs), np.stack(ys)
         ha, hb, hxor = (_toeplitz_parity(seeds, rows, m, k) for rows in (a, b, a ^ b))
         assert np.array_equal(hxor, ha ^ hb)
 
@@ -112,9 +137,8 @@ class TestUniversalHash:
         for m, k in ((1, 1), (5, 3), (64, 32), (100, 100), (257, 1)):
             specs = [random_hash_spec(m, k, rng) for _ in range(20)]
             xs = [random_bits(rng, m) for _ in range(20)]
-            rows = _toeplitz_parity(bit_rows(s.seed_bits for s in specs), bit_rows(xs), m, k)
-            assert ["".join(map(str, r)) for r in rows] == [
-                universal_hash(x, s) for x, s in zip(xs, specs)]
+            rows = _toeplitz_parity(np.stack([s.seed_bits for s in specs]), np.stack(xs), m, k)
+            assert np.array_equal(rows, [universal_hash(x, s) for x, s in zip(xs, specs)])
 
     @pytest.mark.parametrize("m", [1000, 4097, 20013])
     def test_matches_direct_convolution(self, m):
@@ -122,39 +146,44 @@ class TestUniversalHash:
         for k in (1, m // 2, m):
             spec = random_hash_spec(m, k, rng)
             x = random_bits(rng, m)
-            assert universal_hash(x, spec) == convolve_oracle(x, spec)
+            assert_bits_equal(universal_hash(x, spec), convolve_oracle(x, spec))
 
     def test_all_ones_closed_form(self):
         """With every seed and input bit set, every convolution value is m,
         so the FFT must round values of size 2^22 exactly: an error of one
         would flip the output parity."""
         m = 2 ** 22
-        assert universal_hash("1" * m, HashSpec(m, 1, "1" * m)) == "0"
+        ones = np.ones(m, np.uint8)
+        assert_bits_equal(universal_hash(ones, HashSpec(m, 1, ones)), bits("0"))
 
     def test_input_above_cap_rejected(self):
         m = MAX_HASH_INPUT_BITS + 1
         with pytest.raises(ValueError, match="MAX_HASH_INPUT_BITS"):
-            universal_hash("0" * m, HashSpec(m, 1, "0" * m))
+            universal_hash(np.zeros(m, np.uint8), HashSpec(m, 1, np.zeros(m, np.uint8)))
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("x", ["1?1 ", "1?11", "0120", "10/1", "10é1"])
     def test_non_binary_input_rejected(self, x, k):
+        """Each character as its code point minus ord('0'): '?' is 15, '2'
+        is 2, ' ' is -16, '/' is -1 and 'é' is 185."""
         spec = random_hash_spec(4, k, random.Random(18))
         with pytest.raises(ValueError):
-            universal_hash(x, spec)
+            universal_hash(np.array([ord(c) - ord("0") for c in x]), spec)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("i", range(len(NON_BINARY)))
+    def test_non_binary_array_rejected(self, i, k):
+        spec = random_hash_spec(4, k, random.Random(18))
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            universal_hash(NON_BINARY[i], spec)
+
+    def test_text_rejected(self):
+        spec = random_hash_spec(4, 2, random.Random(18))
+        with pytest.raises(ValueError):
+            universal_hash("1011", spec)
 
 
 class TestVerify:
-    def test_equal(self):
-        assert verify("1010", "1010")
-
-    def test_single_bit_difference(self):
-        assert not verify("1010", "1011")
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            verify("10", "101")
-
     def test_no_collisions_at_k32(self):
         """Universal family bound 2^-32: zero observed collisions over
         randomized unequal pairs."""
@@ -167,8 +196,9 @@ class TestVerify:
             b = rng.getrandbits(m)
             while b == a:
                 b = rng.getrandbits(m)
-            trials.append((spec.seed_bits, f"{a:0{m}b}", f"{b:0{m}b}"))
-        seeds, xa, xb = (bit_rows(column) for column in zip(*trials))
+            trials.append((spec.seed_bits, a, b))
+        seeds, xa, xb = zip(*trials)
+        seeds, xa, xb = np.stack(seeds), bit_rows(xa, m), bit_rows(xb, m)
         for lo in range(0, len(trials), 10000):
             chunk = slice(lo, lo + 10000)
             ha = _toeplitz_parity(seeds[chunk], xa[chunk], m, k)
@@ -187,19 +217,26 @@ class TestEcVerify:
         for _ in range(500):
             key = random_bits(rng, 128)
             pos = rng.randrange(128)
-            other = key[:pos] + ("1" if key[pos] == "0" else "0") + key[pos + 1:]
+            other = key.copy()
+            other[pos] ^= 1
             assert not ec_verify(key, other, 64, rng)
 
     def test_empty_keys_false(self):
-        assert not ec_verify("", "", 64, random.Random(10))
+        assert not ec_verify(bits(""), bits(""), 64, random.Random(10))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            ec_verify("101", "10", 8, random.Random(11))
+            ec_verify(bits("101"), bits("10"), 8, random.Random(11))
 
     def test_non_binary_key_rejected(self):
         with pytest.raises(ValueError):
-            ec_verify("1?10", "1110", 4, random.Random(20))
+            ec_verify(np.array([1, -1, 1, 0], np.int8), bits("1110"), 4, random.Random(20))
+
+    @pytest.mark.parametrize("i", range(len(NON_BINARY)))
+    def test_non_binary_array_rejected(self, i):
+        for pair in ((NON_BINARY[i], bits("1110")), (bits("1110"), NON_BINARY[i])):
+            with pytest.raises(ValueError, match="only 0 and 1"):
+                ec_verify(*pair, 4, random.Random(20))
 
 
 class TestOutputLengthPolicy:
@@ -229,8 +266,8 @@ class TestOutputLengthPolicy:
 
 class TestPrivacyAmplify:
     def test_full_leakage_empty_key(self):
-        secret, spec = privacy_amplify("1" * 100, 1.0, 10, random.Random(12))
-        assert secret == ""
+        secret, spec = privacy_amplify(np.ones(100, np.uint8), 1.0, 10, random.Random(12))
+        assert_bits_equal(secret, bits(""))
         assert spec.output_len == 0
 
     def test_no_leakage_full_length(self):
@@ -243,8 +280,19 @@ class TestPrivacyAmplify:
         rng = random.Random(15)
         key = random_bits(rng, 200)
         secret, spec = privacy_amplify(key, 0.25, 8, rng)
-        assert universal_hash(key, spec) == secret
+        assert_bits_equal(universal_hash(key, spec), secret)
 
     def test_empty_key(self):
-        secret, spec = privacy_amplify("", 0.0, 0, random.Random(16))
-        assert secret == "" and spec is None
+        secret, spec = privacy_amplify(bits(""), 0.0, 0, random.Random(16))
+        assert_bits_equal(secret, bits("")) and spec is None
+
+    def test_key_above_cap_rejected(self):
+        key = np.zeros(MAX_HASH_INPUT_BITS + 1, np.uint8)
+        with pytest.raises(ValueError, match="MAX_HASH_INPUT_BITS"):
+            privacy_amplify(key, 1.0, 0, random.Random(19))
+
+    @pytest.mark.parametrize("eve_info", [0.0, 1.0])
+    @pytest.mark.parametrize("i", range(len(NON_BINARY)))
+    def test_non_binary_key_rejected(self, i, eve_info):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            privacy_amplify(NON_BINARY[i], eve_info, 0, random.Random(19))

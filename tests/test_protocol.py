@@ -54,7 +54,7 @@ class TestCleanSessions:
     def test_lm05_noiseless_keys_agree(self):
         transcript = run_session(make_cfg(ProtocolKind.LM05, 1000))
         assert len(transcript.alice_key) > 0
-        assert transcript.alice_key == transcript.bob_key
+        assert np.array_equal(transcript.alice_key, transcript.bob_key)
         est = transcript.disturbance
         assert est.d_cm == 0.0
         assert est.d_mm == 0.0
@@ -74,14 +74,14 @@ class TestCleanSessions:
 
     def test_bb84_yield_is_half(self):
         transcript = run_session(make_cfg(ProtocolKind.BB84, 1000, cm_fraction=0.0))
-        assert transcript.alice_key == transcript.bob_key
+        assert np.array_equal(transcript.alice_key, transcript.bob_key)
         # Basis match halves the rounds; disclosure removes another 10%.
         kept = len(transcript.alice_key) + transcript.disturbance.n_mm
         assert abs(kept - 500) <= 3 * math.sqrt(1000 * 0.25)
 
     def test_mcas_noiseless(self):
         transcript = run_session(make_cfg(ProtocolKind.MCAS_BB84, 2000))
-        assert transcript.alice_key == transcript.bob_key
+        assert np.array_equal(transcript.alice_key, transcript.bob_key)
         assert transcript.disturbance.d_cm == 0.0
         assert not transcript.aborted
 
@@ -102,8 +102,7 @@ class TestNoiseComposition:
         transcript = run_session(cfg)
         expected = 2 * q * (1 - q)
         est = transcript.disturbance
-        mism = sum(transcript.alice_key[i] != transcript.bob_key[i]
-                   for i in range(len(transcript.alice_key)))
+        mism = int(np.count_nonzero(transcript.alice_key != transcript.bob_key))
         rate = (mism + est.d_mm * est.n_mm) / (len(transcript.alice_key) + est.n_mm)
         n = len(transcript.alice_key) + est.n_mm
         assert abs(rate - expected) <= 4 * math.sqrt(expected * (1 - expected) / n)
@@ -114,7 +113,7 @@ class TestLoss:
         cfg = make_cfg(ProtocolKind.LM05, 4000, seed=12,
                        channel=ChannelSpec(0.7, 0.0, legs=2))
         transcript = run_session(cfg)
-        assert transcript.alice_key == transcript.bob_key
+        assert np.array_equal(transcript.alice_key, transcript.bob_key)
         lost = sum(1 for r in transcript.rounds if r.lost)
         # Round trip survival 0.49.
         assert abs(lost / 4000 - (1 - 0.49)) <= 4 * math.sqrt(0.25 / 4000)
@@ -127,7 +126,8 @@ class TestLoss:
         transcript = run_session(cfg)
         assert transcript.aborted
         assert transcript.abort_reason == "no-yield"
-        assert transcript.alice_key == "" and transcript.bob_key == ""
+        assert len(transcript.alice_key) == len(transcript.bob_key) == 0
+        assert transcript.alice_key.dtype == np.uint8 and transcript.eve_key.dtype == np.int8
 
 
 class TestSift:
@@ -138,10 +138,13 @@ class TestSift:
     def test_bb84_keeps_matching_bases(self):
         # Preparations ZERO, ZERO, PLUS; Bob measures in Z, X, X.
         cols = make_columns(3, prep_basis=[0, 0, 1], bob_basis=[0, 1, 1], result=[0, 1, 0])
-        assert sift(ProtocolKind.BB84, cols) == ("00", "00")
+        alice, bob = sift(ProtocolKind.BB84, cols)
+        assert alice.tolist() == bob.tolist() == [0, 0]
+        assert alice.dtype == bob.dtype == np.uint8
 
     def test_lost_rounds_never_contribute(self):
-        assert sift(ProtocolKind.BB84, make_columns(1, lost=True)) == ("", "")
+        alice, bob = sift(ProtocolKind.BB84, make_columns(1, lost=True))
+        assert len(alice) == len(bob) == 0
 
     def test_disclosed_rounds_removed(self):
         cols = make_columns(10, acted=True, act_bit=1, result=1)
@@ -245,13 +248,13 @@ class TestDeterminism:
         first = run_session(cfg)
         second = run_session(cfg)
         assert transcript_csv(first) == transcript_csv(second)
-        assert first.alice_key == second.alice_key
-        assert first.eve_key == second.eve_key
+        assert np.array_equal(first.alice_key, second.alice_key)
+        assert np.array_equal(first.eve_key, second.eve_key)
 
     def test_different_seeds_differ(self):
         a = run_session(make_cfg(ProtocolKind.LM05, 500, seed=1))
         b = run_session(make_cfg(ProtocolKind.LM05, 500, seed=2))
-        assert a.alice_key != b.alice_key
+        assert not np.array_equal(a.alice_key, b.alice_key)
 
 
 class TestTranscriptCsv:
