@@ -27,7 +27,7 @@ from ..infotheory import (
     mutual_info_ae,
 )
 from ..kinds import ProtocolKind
-from ..postproc import DEFAULT_SAFETY_BITS, NO_PRIVACY_REASON, privacy_amplify
+from ..postproc import DEFAULT_SAFETY_BITS, NO_PRIVACY_REASON, check_bits, privacy_amplify
 from ..protocol import (
     BB84_ABORT_THRESHOLD,
     DEFAULT_N_ROUNDS,
@@ -152,8 +152,10 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
     The hex digits are the bits read as one binary number, zero-padded to
     ceil(bitlen / 4) digits; an empty array encodes as `0:`.  This is the
-    only place key material becomes text.
+    only place key material becomes text.  Raises ValueError when a value
+    is not 0 or 1.
     """
+    bits = check_bits(bits, "bits")
     n = len(bits)
     if not n:
         return "0:"

@@ -47,7 +47,7 @@ def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1)[:, nbytes * 8 - width:]
 
 
-def _check_bits(bits: np.ndarray, name: str) -> np.ndarray:
+def check_bits(bits: np.ndarray, name: str) -> np.ndarray:
     """``bits`` as a uint8 array; ValueError when a value is not 0 or 1."""
     bits = np.asarray(bits)
     if np.any((bits != 0) & (bits != 1)):
@@ -60,7 +60,8 @@ class HashSpec:
     """A member of the diagonal-constant matrix family.
 
     ``seed_bits`` is a 0/1 array of the m + k - 1 diagonal values; entry
-    (i, j) of the matrix is ``seed_bits[m - 1 + i - j]``.
+    (i, j) of the matrix is ``seed_bits[m - 1 + i - j]``.  The spec keeps
+    a read-only uint8 copy of the array it is given.
     """
 
     input_len: int
@@ -77,7 +78,9 @@ class HashSpec:
         if len(self.seed_bits) != expected:
             raise ValueError(
                 f"seed_bits must have length {expected}, got {len(self.seed_bits)}")
-        _check_bits(self.seed_bits, "seed_bits")
+        seed = check_bits(self.seed_bits, "seed_bits").copy()
+        seed.setflags(write=False)
+        object.__setattr__(self, "seed_bits", seed)
 
 
 def random_hash_spec(input_len: int, output_len: int, rng: random.Random) -> HashSpec:
@@ -128,7 +131,7 @@ def universal_hash(x: np.ndarray, spec: HashSpec) -> np.ndarray:
     if spec.input_len > MAX_HASH_INPUT_BITS:
         raise ValueError(f"input length {spec.input_len} exceeds "
                          f"MAX_HASH_INPUT_BITS = {MAX_HASH_INPUT_BITS}")
-    x = _check_bits(x, "x")
+    x = check_bits(x, "x")
     if spec.output_len == 0:
         return np.zeros(0, dtype=np.uint8)
     return _toeplitz_parity(spec.seed_bits[None], x[None], spec.input_len,

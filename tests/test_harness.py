@@ -264,6 +264,13 @@ class TestHexSerialization:
         for text in (f"{random.Random(31).getrandbits(n):0{n}b}", "1" * n):
             assert bits_to_hex(bit_array(text)) == hex_oracle(text)
 
+    @pytest.mark.parametrize("values, dtype", [([0, 1, 2, 1], np.uint8),
+                                               ([1, 255, 0, 0], np.uint8),
+                                               ([1, 0, -1, 1], np.int8)])
+    def test_non_binary_rejected(self, values, dtype):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            bits_to_hex(np.array(values, dtype))
+
     def test_child_seed_stable_and_distinct(self):
         a = child_seed(123, 0)
         assert a == child_seed(123, 0)

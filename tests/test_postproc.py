@@ -84,6 +84,16 @@ class TestHashSpec:
             with pytest.raises(ValueError, match="only 0 and 1"):
                 HashSpec(3, 2, seed)
 
+    def test_seed_stored_as_checked_copy(self):
+        given = np.array([1, 0, 1, 1], np.int64)
+        spec = HashSpec(3, 2, given)
+        assert spec.seed_bits.dtype == np.uint8 and not spec.seed_bits.flags.writeable
+        given[0] = 0
+        assert spec.seed_bits.tolist() == [1, 0, 1, 1]
+        listed = HashSpec(3, 2, [1, 0, 1, 1])
+        assert_bits_equal(universal_hash(bits("101"), listed),
+                          universal_hash(bits("101"), spec))
+
     def test_random_spec_shape(self):
         spec = random_hash_spec(16, 8, random.Random(0))
         assert spec.input_len == 16 and spec.output_len == 8
@@ -284,7 +294,8 @@ class TestPrivacyAmplify:
 
     def test_empty_key(self):
         secret, spec = privacy_amplify(bits(""), 0.0, 0, random.Random(16))
-        assert_bits_equal(secret, bits("")) and spec is None
+        assert_bits_equal(secret, bits(""))
+        assert spec is None
 
     def test_key_above_cap_rejected(self):
         key = np.zeros(MAX_HASH_INPUT_BITS + 1, np.uint8)
