@@ -4,11 +4,14 @@ Subcommands: `run <config>` executes a scenario file (flags override its
 keys), `curves <label>` emits one of the bundled curve sets, `sweep`
 runs a presence sweep from flags alone, and `selftest` runs the
 acceptance suite.  Exit codes: 0 success, 1 usage or config error,
-2 when a session scenario aborted.
+2 when a session scenario aborted.  The argument parser is built on the
+first call of :func:`main` and shared by every later call in the
+process: parsing leaves no state in it.
 """
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from ..adversary import AttackKind, AttackSpec, BasisPolicy
@@ -30,6 +33,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qkdsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

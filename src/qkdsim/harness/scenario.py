@@ -31,6 +31,7 @@ from ..postproc import DEFAULT_SAFETY_BITS, NO_PRIVACY_REASON, check_bits, priva
 from ..protocol import (
     BB84_ABORT_THRESHOLD,
     DEFAULT_N_ROUNDS,
+    MAX_N_ROUNDS,
     SessionConfig,
     Transcript,
     run_session,
@@ -38,6 +39,10 @@ from ..protocol import (
 )
 
 SCENARIO_NAMES = ("fig2a", "fig2b", "fig2c", "table1", "sweep", "session")
+
+# Most points of a curve grid or a presence grid.  Every point is a
+# Python float in memory and a row of the report.
+MAX_GRID_POINTS = 2 ** 20
 
 _TABLE_ORDER = (ProtocolKind.BB84, ProtocolKind.PING_PONG,
                 ProtocolKind.LM05, ProtocolKind.MCAS_BB84)
@@ -54,9 +59,10 @@ _TABLE_ATTACKS = {
 class Scenario:
     """A fully determined reproduction target.
 
-    ``n_points`` sizes the curve grids and ``n_rounds`` the table1
-    sessions.  ``d_pd_cm`` is the control threshold of the curves and of
-    table1 (None reads ``DEFAULT_D_PD_CM``).  A ``session`` scenario runs
+    ``n_points`` sizes the curve grids (at most ``MAX_GRID_POINTS``) and
+    ``n_rounds`` the table1 sessions (at most ``MAX_N_ROUNDS``).
+    ``d_pd_cm`` is the control threshold of the curves and of table1
+    (None reads ``DEFAULT_D_PD_CM``).  A ``session`` scenario runs
     ``session`` as given, and its privacy amplification is seeded from
     ``session.seed`` as well; a ``sweep`` runs it once per presence in
     ``p_values`` (see :meth:`sweep_configs`).  Both read the threshold
@@ -79,15 +85,15 @@ class Scenario:
             raise ValueError(f"name {self.name!r} is not one of {', '.join(SCENARIO_NAMES)}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points!r}")
+        if not 2 <= self.n_points <= MAX_GRID_POINTS:
+            raise ValueError(f"n_points out of [2, {MAX_GRID_POINTS}]: {self.n_points!r}")
         if self.d_pd_cm is not None:
             if self.name in ("session", "sweep"):
                 raise ValueError(f"d_pd_cm: a {self.name} scenario reads session.d_pd_cm, "
                                  f"got {self.d_pd_cm!r}")
             check_d_pd_cm(self.d_pd_cm)
-        if self.n_rounds < 1:
-            raise ValueError(f"n_rounds must be positive, got {self.n_rounds!r}")
+        if not 1 <= self.n_rounds <= MAX_N_ROUNDS:
+            raise ValueError(f"n_rounds out of [1, {MAX_N_ROUNDS}]: {self.n_rounds!r}")
         if self.name in ("session", "sweep") and self.session is None:
             raise ValueError(f"session: a {self.name} scenario needs a SessionConfig")
         if self.name == "sweep":
@@ -122,8 +128,8 @@ def parse_p_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"p-grid must look like a:b:n, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
     n = int(parts[2])
-    if n < 1:
-        raise ValueError(f"p-grid needs at least one point, got {n}")
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ValueError(f"p-grid needs 1 to {MAX_GRID_POINTS} points, got {n}")
     for bound in (lo, hi):
         AttackSpec(presence=bound)  # the presence range check
     return (lo,) if n == 1 else _linspace(lo, hi, n)

@@ -10,8 +10,10 @@ and the extraction step rely on.
 
 The matrix-vector product is a convolution of the seed with the input,
 evaluated by real FFTs in O((m + k) log(m + k)) time and rounded back to
-integers before taking parities.  float64 keeps that rounding exact up
-to ``MAX_HASH_INPUT_BITS`` input bits; longer inputs are rejected.
+integers before taking parities.  The FFT length is the smallest
+n = 2^a * 3^b * 5^c with n >= m + k - 1.  float64 keeps that rounding
+exact up to ``MAX_HASH_INPUT_BITS`` input bits; longer inputs are
+rejected.
 
 ``choose_output_length`` is a policy stub, not a security proof: the
 leaked fraction must be supplied externally (for the copy attack it is
@@ -90,6 +92,20 @@ def random_hash_spec(input_len: int, output_len: int, rng: random.Random) -> Has
     return HashSpec(input_len, output_len, bit_rows([rng.getrandbits(n)], n)[0])
 
 
+def _fft_length(t: int) -> int:
+    """The smallest n = 2^a * 3^b * 5^c with n >= t, for t >= 1."""
+    best = 1 << (t - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two >= ceil(t / p35)
+            best = min(best, p35 << (-(-t // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _toeplitz_parity(seeds: np.ndarray, xs: np.ndarray, m: int, k: int) -> np.ndarray:
     """Toeplitz hashes of a batch of rows: (B, k) uint8 output bits.
 
@@ -98,9 +114,13 @@ def _toeplitz_parity(seeds: np.ndarray, xs: np.ndarray, m: int, k: int) -> np.nd
     entry m - 1 + i of the linear convolution seed * x, mod 2.  The
     circular convolution of length n >= m + k - 1 adds entry
     m - 1 + i + n to it, which lies beyond the last linear entry
-    2m + k - 3, so no padding to the full linear length is needed.
+    2m + k - 3, so no padding to the full linear length is needed.  n is
+    ``_fft_length(m + k - 1)``, the smallest 2^a * 3^b * 5^c that long:
+    mixed-radix FFTs of such lengths cost about as much per point as
+    power-of-two ones (Frigo & Johnson, Proc. IEEE 93(2), 2005), while the
+    next power of two can be almost twice m + k - 1.
     """
-    n = 1 << (m + k - 2).bit_length()
+    n = _fft_length(m + k - 1)
     spectrum = np.fft.rfft(seeds, n) * np.fft.rfft(xs, n)
     conv = np.fft.irfft(spectrum, n)[..., m - 1:m - 1 + k]
     return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
@@ -114,17 +134,20 @@ def universal_hash(x: np.ndarray, spec: HashSpec) -> np.ndarray:
     when x does not have length ``spec.input_len``, is longer than
     ``MAX_HASH_INPUT_BITS`` or holds a value other than 0 and 1.
 
-    Exactness: the convolution values are integers in [0, m].  The
-    float64 FFT error on them is of order eps * |seed| * |x| * log2(n)
-    with Euclidean norms, and for 0/1 rows |seed| * |x| <= sqrt(2) * m,
-    so every value rounds to the right integer while that stays well
-    below 1/2.  At the cap m = 2^24 (n <= 2^25) it is about
-    2^-53 * sqrt(2) * 2^24 * 25, below 1e-7.  Measured with numpy's
-    pocketfft, the largest distance to the nearest integer was 0.0 for
-    all-ones inputs at m = 2^23 (k = 1), where every output equals m, at
-    most 1.2e-10 for random inputs at m = 2^21 (k = 1, m/2, m), and 0.0
-    for a random input at m = 2^24 (k = 1).  A 1e7-round session's key
-    of about 7e6 bits lies below the cap.
+    Exactness: the convolution is evaluated by FFTs of length n, the
+    smallest 2^a * 3^b * 5^c >= m + k - 1.  Its values are integers in
+    [0, m].  The float64 FFT error on them is of order
+    eps * |seed| * |x| * log2(n) with Euclidean norms, and for 0/1 rows
+    |seed| * |x| <= sqrt(2) * m, so every value rounds to the right
+    integer while that stays well below 1/2.  At the cap m = 2^24
+    (n <= 2^25) it is about 2^-53 * sqrt(2) * 2^24 * 25, below 1e-7.
+    Measured with numpy's pocketfft at mixed-radix lengths, the largest
+    distance to the nearest integer was 0.0 for all-ones inputs at
+    m = 2^23 + 1 (k = 1, n = 2^8 * 3^8 * 5), where every output
+    equals m, 0.0 for a random input at m = 2^21 (k = m/2,
+    n = 3 * 2^20), and 9.3e-10 for a random input at m = 2^24
+    (k = 2^22 + 1, n = 5 * 2^22).  A 1e7-round session's key of about
+    7e6 bits lies below the cap.
     """
     if len(x) != spec.input_len:
         raise ValueError(f"input length {len(x)} != spec input_len {spec.input_len}")

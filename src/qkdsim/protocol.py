@@ -47,6 +47,7 @@ from .adversary import AttackKind, AttackSpec, BasisPolicy
 from .channel import ChannelSpec, legs_for
 from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm
 from .kinds import ProtocolKind
+from .postproc import MAX_HASH_INPUT_BITS
 from .qstate import Basis, BellLabel, CanonState, Encoding
 
 # The per-round primitives stay attributes of this module, and adversary
@@ -59,6 +60,9 @@ from .qstate import measure, prepare  # noqa: F401
 DISCLOSE_FRACTION = 0.1
 BB84_ABORT_THRESHOLD = 0.11
 DEFAULT_N_ROUNDS = 20000
+# A session's sifted key is never longer than its round count, so every
+# key of a valid session can be hashed.
+MAX_N_ROUNDS = MAX_HASH_INPUT_BITS
 
 _Z95 = 1.96
 # Column codes: basis 0 is Z and 1 is X; a canonical state is 2 * basis + bit.
@@ -100,8 +104,8 @@ class SessionConfig:
     ``cm_fraction`` is the per-round probability of a control round; BB84
     has no control mode and ignores it.  ``enforce_cm_threshold`` opts
     the two-way protocols into the predetermined abort threshold that the
-    asymmetric variant always applies.  A ValueError names the offending
-    field first.
+    asymmetric variant always applies.  ``n_rounds`` is at most
+    ``MAX_N_ROUNDS``.  A ValueError names the offending field first.
     """
 
     protocol: ProtocolKind
@@ -114,8 +118,8 @@ class SessionConfig:
     enforce_cm_threshold: bool = False
 
     def __post_init__(self):
-        if self.n_rounds < 1:
-            raise ValueError(f"n_rounds must be positive, got {self.n_rounds!r}")
+        if not 1 <= self.n_rounds <= MAX_N_ROUNDS:
+            raise ValueError(f"n_rounds out of [1, {MAX_N_ROUNDS}]: {self.n_rounds!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if not 0.0 <= self.cm_fraction < 1.0:
@@ -635,7 +639,7 @@ def write_transcript_csv(transcript: Transcript, fileobj) -> None:
     fileobj.write(_HEADER)
     for start in range(0, n, _CSV_BLOCK_ROWS):
         stop = min(start + _CSV_BLOCK_ROWS, n)
-        block = table[slot[code[start:stop]]]
+        block = np.take(table, slot[code[start:stop]], axis=0)
         index = np.arange(start, stop, dtype=np.uint32)
         for col in range(digits - 1, -1, -1):
             index, digit = np.divmod(index, 10)

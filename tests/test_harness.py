@@ -19,10 +19,12 @@ from qkdsim.harness import (
     parse_p_grid,
     run_scenario,
 )
-from qkdsim.harness.cli import main
+from qkdsim.harness.cli import _build_parser, main
+from qkdsim.harness.scenario import MAX_GRID_POINTS
 from qkdsim.infotheory import DEFAULT_D_PD_CM, critical_disturbance
 from qkdsim.kinds import ProtocolKind
-from qkdsim.protocol import SessionConfig
+from qkdsim.postproc import MAX_HASH_INPUT_BITS
+from qkdsim.protocol import MAX_N_ROUNDS, SessionConfig
 
 
 def write_config(tmp_path, text):
@@ -143,6 +145,13 @@ class TestOneValidationPath:
         ("sweep", "attack", "kind", "mitm_pp"),
         ("sweep", "channel", "legs", "3"),
         ("sweep", "scenario", "seed", "-1"),
+        # Sizes that cannot run: none of these is ever started.
+        ("fig2a", "scenario", "n_points", str(MAX_GRID_POINTS + 1)),
+        ("fig2a", "scenario", "n_points", "100000000000"),
+        ("table1", "session", "n_rounds", "100000000000000"),
+        ("session", "session", "n_rounds", str(MAX_N_ROUNDS + 1)),
+        ("sweep", "sweep", "n_rounds", "100000000000000"),
+        ("sweep", "sweep", "p_grid", f"0:1:{MAX_GRID_POINTS + 1}"),
     ])
     def test_bad_value_names_its_line(self, tmp_path, name, section, key, value):
         path, lineno = config_with(tmp_path, name, section, key, value)
@@ -209,10 +218,30 @@ class TestOneValidationPath:
          "--rounds", "100", "--seed", "-1"],
         ["sweep", "--protocol", "pp", "--attack", "intercept_resend", "--p-grid", "0:1:2",
          "--rounds", "100", "--seed", "1"],
+        ["sweep", "--protocol", "lm05", "--attack", "mitm_lm05", "--p-grid", "0:1:3",
+         "--rounds", "100000000000000", "--seed", "1"],
+        ["sweep", "--protocol", "lm05", "--attack", "mitm_lm05",
+         "--p-grid", "0:1:100000000000", "--rounds", "100", "--seed", "1"],
+        ["curves", "fig2a", "--points", "100000000000"],
     ])
     def test_bad_sweep_flags_leave_no_output(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_size_bounds(self):
+        """The largest sizes construct, one more is rejected; nothing runs."""
+        assert MAX_N_ROUNDS <= MAX_HASH_INPUT_BITS  # every sifted key is hashable
+        SessionConfig(protocol=ProtocolKind.LM05, seed=1, n_rounds=MAX_N_ROUNDS)
+        Scenario("table1", seed=1, n_rounds=MAX_N_ROUNDS)
+        Scenario("fig2a", seed=1, n_points=MAX_GRID_POINTS)
+        with pytest.raises(ValueError, match="^n_rounds"):
+            SessionConfig(protocol=ProtocolKind.LM05, seed=1, n_rounds=MAX_N_ROUNDS + 1)
+        with pytest.raises(ValueError, match="^n_rounds"):
+            Scenario("table1", seed=1, n_rounds=MAX_N_ROUNDS + 1)
+        with pytest.raises(ValueError, match="^n_points"):
+            Scenario("fig2a", seed=1, n_points=MAX_GRID_POINTS + 1)
+        with pytest.raises(ValueError, match="p-grid"):
+            parse_p_grid(f"0:1:{MAX_GRID_POINTS + 1}")
 
     @pytest.mark.parametrize("name", ["fig2a", "table1", "session", "sweep"])
     def test_negative_seed_override(self, tmp_path, name):
@@ -445,6 +474,24 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_shared_parser_keeps_no_state(self, tmp_path):
+        """main() parses with one parser per process; no call changes the next."""
+        assert _build_parser() is _build_parser()
+        sweep = ["sweep", "--protocol", "lm05", "--attack", "mitm_lm05", "--p-grid", "0:1:3",
+                 "--rounds", "2000", "--seed", "4"]
+
+        def sweep_csv(name, *flags):
+            assert main(sweep + ["--out", str(tmp_path / name), *flags]) == 0
+            return (tmp_path / name / "sweep.csv").read_bytes()
+
+        threshold = sweep_csv("threshold", "--threshold", "--d-pd-cm", "0.01")
+        plain = sweep_csv("plain")
+        assert plain != threshold
+        assert main(["sweep", "--protocol", "lm05"]) == 1
+        assert sweep_csv("again") == plain
+        _build_parser.cache_clear()
+        assert sweep_csv("fresh") == plain
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"

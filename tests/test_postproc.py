@@ -10,6 +10,7 @@ import pytest
 from qkdsim.postproc import (
     MAX_HASH_INPUT_BITS,
     HashSpec,
+    _fft_length,
     _toeplitz_parity,
     bit_rows,
     choose_output_length,
@@ -68,6 +69,18 @@ class TestBitRows:
             assert rows.dtype == np.uint8 and rows.shape == (5, width)
             for value, row in zip(values, rows):
                 assert "".join(map(str, row)) == (f"{value:0{width}b}" if width else "")
+
+
+class TestFftLength:
+    def test_smallest_smooth_length(self):
+        """The smallest 2^a * 3^b * 5^c >= t, by brute force."""
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(14) for b in range(9)
+                        for c in range(7) if 2 ** a * 3 ** b * 5 ** c <= 8192)
+        for t in range(1, 5001):
+            assert _fft_length(t) == next(n for n in smooth if n >= t)
+
+    def test_cap_fits_in_two_to_the_25(self):
+        assert _fft_length(2 * MAX_HASH_INPUT_BITS - 1) == 2 ** 25
 
 
 class TestHashSpec:
@@ -158,13 +171,26 @@ class TestUniversalHash:
             x = random_bits(rng, m)
             assert_bits_equal(universal_hash(x, spec), convolve_oracle(x, spec))
 
+    @pytest.mark.parametrize("t", [2 ** 15, 2 ** 15 + 1, 34560, 34561, 34583])
+    def test_matches_direct_convolution_at_length(self, t):
+        """m + k - 1 = t on both sides of an FFT length: a power of two,
+        one past it, a mixed-radix length (2^8 * 3^3 * 5), one past that,
+        and a prime."""
+        rng = random.Random(t)
+        k = 1000
+        spec = random_hash_spec(t - k + 1, k, rng)
+        x = random_bits(rng, spec.input_len)
+        assert_bits_equal(universal_hash(x, spec), convolve_oracle(x, spec))
+
     def test_all_ones_closed_form(self):
         """With every seed and input bit set, every convolution value is m,
         so the FFT must round values of size 2^22 exactly: an error of one
-        would flip the output parity."""
-        m = 2 ** 22
-        ones = np.ones(m, np.uint8)
-        assert_bits_equal(universal_hash(ones, HashSpec(m, 1, ones)), bits("0"))
+        would flip the output parity.  2^22 + 1 hashes at the mixed-radix
+        length 2^7 * 3^8 * 5."""
+        for m in (2 ** 22, 2 ** 22 + 1):
+            ones = np.ones(m, np.uint8)
+            assert_bits_equal(universal_hash(ones, HashSpec(m, 1, ones)),
+                              np.array([m % 2], np.uint8))
 
     def test_input_above_cap_rejected(self):
         m = MAX_HASH_INPUT_BITS + 1
