@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qkdsim", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="qkdsim", description="Command line interface.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a scenario config file")

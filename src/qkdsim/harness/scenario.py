@@ -10,6 +10,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ class Scenario:
     (None reads ``DEFAULT_D_PD_CM``).  A ``session`` scenario runs
     ``session`` as given, and its privacy amplification is seeded from
     ``session.seed`` as well; a ``sweep`` runs it once per presence in
-    ``p_values`` (see :meth:`sweep_configs`).  Both read the threshold
+    ``p_values`` (see :attr:`sweep_configs`).  Both read the threshold
     from ``session.d_pd_cm`` and reject a ``d_pd_cm`` of their own.  A
     ValueError names the offending field first.
     """
@@ -99,18 +100,20 @@ class Scenario:
         if self.name == "sweep":
             if not self.p_values:
                 raise ValueError("p_values: a sweep needs at least one presence")
-            self.sweep_configs()  # every grid point must make a valid session
+            self.sweep_configs  # builds every grid point's session, which validates it
 
     @property
     def cm_threshold(self) -> float:
         """The control threshold of a curve or table1 scenario."""
         return DEFAULT_D_PD_CM if self.d_pd_cm is None else self.d_pd_cm
 
-    def sweep_configs(self) -> list[SessionConfig]:
-        """The session of each sweep point: the template at presence p, seeded per point."""
-        return [replace(self.session, seed=child_seed(self.seed, i),
-                        attack=replace(self.session.attack, presence=p))
-                for i, p in enumerate(self.p_values)]
+    @cached_property
+    def sweep_configs(self) -> tuple[SessionConfig, ...]:
+        """Each sweep point's session, built once at construction: the template
+        at presence p, seeded per point."""
+        return tuple(replace(self.session, seed=child_seed(self.seed, i),
+                             attack=replace(self.session.attack, presence=p))
+                     for i, p in enumerate(self.p_values))
 
 
 @dataclass
@@ -310,7 +313,7 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
 
 def _run_sweep_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     rows = []
-    for cfg in sc.sweep_configs():
+    for cfg in sc.sweep_configs:
         transcript = run_session(cfg)
         est = transcript.disturbance
         acc = eve_accuracy(transcript)

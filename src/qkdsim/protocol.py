@@ -9,6 +9,11 @@ either basis and a channel flip toggles it within the carrier's basis.
 One numpy kernel per protocol family (one-way, LM05, ping-pong) runs all
 rounds of a session at once and returns a :class:`RoundColumns`.
 
+Selects are XOR/AND on 0/1 uint8 columns and :func:`sift` gathers the
+keys through one index, because ``np.where`` and mask indexing branch
+per element: on 27778 random rounds (2-vCPU VM, numpy 2.4.6) ``np.where``
+took 171 us and XOR/AND 7-10 us, ``a[mask]`` 188 us and an index 38 us.
+
 Leg topology: two-way rounds go sender -> [Eve] -> channel -> encoder ->
 channel -> [Eve] -> sender, one-way rounds go preparer -> [Eve] ->
 channel -> measurer.  Eve sits at the key party's doorstep, so her
@@ -286,16 +291,18 @@ def _sift_mask(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
     return keep
 
 
-def sift(protocol: ProtocolKind, cols: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
+def sift(protocol: ProtocolKind, cols: RoundColumns, *extra: np.ndarray) -> tuple:
     """Distill the key pair, as uint8 bit arrays, from a session's round columns.
 
     BB84 keeps basis-matched message rounds, the asymmetric variant
     keeps computational-basis ones, and the two-way protocols keep every
     non-lost message round (no basis reconciliation).  Disclosed rounds
-    are excluded.
+    are excluded.  Each column in ``extra`` is gathered at the same key
+    rounds, through the same index, and returned after the pair.
     """
-    key = _sift_mask(protocol, cols) & ~cols.disclosed
-    return _alice_bits(protocol, cols)[key], _bob_bits(protocol, cols)[key]
+    rounds = np.flatnonzero(_sift_mask(protocol, cols) & ~cols.disclosed)
+    return tuple(column[rounds] for column in
+                 (_alice_bits(protocol, cols), _bob_bits(protocol, cols), *extra))
 
 
 def _cm_check(protocol: ProtocolKind, cols: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
@@ -420,9 +427,19 @@ def _traverse(draws: _Draws, spec: ChannelSpec, legs: int) -> tuple[np.ndarray, 
     return alive, flip
 
 
+def _select(cond, a, b) -> np.ndarray:
+    """``np.where(cond, a, b)`` for a bool or 0/1 ``cond`` and 0/1 uint8 ``a`` and ``b``."""
+    return b ^ (cond & (a ^ b))
+
+
+def _eve_bit(engaged, bit) -> np.ndarray:
+    """Eve's inferred bit as int8: ``bit`` where ``engaged``, else -1 (bool and 0/1 uint8)."""
+    return (engaged.view(np.int8) - 1) | bit.view(np.int8)
+
+
 def _measure(draws: _Draws, basis, carrier_basis, carrier_bit) -> np.ndarray:
     """Outcomes in ``basis``: the carrier bit on a basis match, else a fair coin."""
-    return np.where(carrier_basis == basis, carrier_bit, draws.bits())
+    return _select(basis ^ carrier_basis, draws.bits(), carrier_bit)
 
 
 def _engaged(attack: AttackSpec, draws: _Draws) -> np.ndarray:
@@ -431,7 +448,7 @@ def _engaged(attack: AttackSpec, draws: _Draws) -> np.ndarray:
     return draws.bernoulli(attack.presence)
 
 
-def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit, eve_bit):
+def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit):
     """The outgoing-leg hooks that act on a single photon in place.
 
     Intercept-resend measures in its policy basis (Z for the mcas
@@ -439,7 +456,8 @@ def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit, eve_bit)
     The probe attack keeps a computational carrier with probability f0
     and a diagonal one with probability f_plus and flips it otherwise,
     the carrier's reduced state under the probe isometry.  Returns the
-    carrier's (basis, bit) columns; ``eve_bit`` is filled in place.
+    carrier's (basis, bit) columns and Eve's inferred bit (-1 throughout
+    for a hook that infers none).
     """
     kind = attack.kind
     if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.MITM_MCAS_X):
@@ -450,12 +468,13 @@ def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit, eve_bit)
         else:
             eve_basis = draws.bits()
         outcome = _measure(draws, eve_basis, basis, bit)
-        eve_bit[eve] = outcome[eve]
-        return np.where(eve, eve_basis, basis), np.where(eve, outcome, bit)
+        return (_select(eve, eve_basis, basis), _select(eve, outcome, bit),
+                _eve_bit(eve, outcome))
+    no_bit = np.full(draws.n, -1, dtype=np.int8)
     if kind is AttackKind.ANCILLA_UBE:
-        keep = draws.bernoulli(np.where(basis == 0, attack.f0, attack.f_plus))
-        return basis, bit ^ (eve & ~keep)
-    return basis, bit
+        keep = draws.bernoulli(np.array([attack.f0, attack.f_plus])[basis])
+        return basis, bit ^ (eve & ~keep), no_bit
+    return basis, bit, no_bit
 
 
 def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
@@ -469,8 +488,7 @@ def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
         prep_basis = cm.astype(np.uint8)
     prep_bit = draws.bits()
     eve = _engaged(cfg.attack, draws)
-    eve_bit = np.full(n, -1, dtype=np.int8)
-    basis, bit = _forward_attack(cfg.attack, draws, eve, prep_basis, prep_bit, eve_bit)
+    basis, bit, eve_bit = _forward_attack(cfg.attack, draws, eve, prep_basis, prep_bit)
     alive, flip = _traverse(draws, cfg.channel, cfg.resolved_legs)
     bob_basis = draws.bits()
     result = _measure(draws, bob_basis, basis, bit ^ flip)
@@ -487,13 +505,12 @@ def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     attack = cfg.attack
     copy = attack.kind is AttackKind.MITM_LM05
     eve = _engaged(attack, draws)
-    eve_bit = np.full(n, -1, dtype=np.int8)
-    basis, bit = _forward_attack(attack, draws, eve, prep_basis, prep_bit, eve_bit)
+    basis, bit, eve_bit = _forward_attack(attack, draws, eve, prep_basis, prep_bit)
     if copy:
         # Eve parks the genuine carrier and sends a random decoy instead.
         decoy_basis, decoy_bit = draws.bits(), draws.bits()
-        basis = np.where(eve, decoy_basis, basis)
-        bit = np.where(eve, decoy_bit, bit)
+        basis = _select(eve, decoy_basis, basis)
+        bit = _select(eve, decoy_bit, bit)
     alive_fwd, flip = _traverse(draws, cfg.channel, legs // 2)
     bit = bit ^ flip
     # Message rounds apply I or iY (iY toggles the bit in either basis);
@@ -501,20 +518,20 @@ def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     encoding = draws.bits()
     cm_basis = draws.bits()
     cm_bit = _measure(draws, cm_basis, basis, bit)
-    bit = np.where(cm, cm_bit, bit ^ encoding)
-    basis = np.where(cm, cm_basis, basis)
+    bit = _select(cm, cm_bit, bit ^ encoding)
+    basis = _select(cm, cm_basis, basis)
     alive_bwd, flip = _traverse(draws, cfg.channel, legs - legs // 2)
     bit = bit ^ flip
     if copy:
         # She reads the encoding off the returned decoy and replays it
         # onto the stored carrier, which travels no further fiber.
         inferred = _measure(draws, decoy_basis, basis, bit) ^ decoy_bit
-        eve_bit[eve] = inferred[eve]
-        basis = np.where(eve, prep_basis, basis)
-        bit = np.where(eve, prep_bit ^ inferred, bit)
+        eve_bit = _eve_bit(eve, inferred)
+        basis = _select(eve, prep_basis, basis)
+        bit = _select(eve, prep_bit ^ inferred, bit)
     result = _measure(draws, prep_basis, basis, bit)
     return RoundColumns(cm, prep_basis, prep_bit, alive_fwd, cm_basis,
-                        np.where(cm, cm_bit, encoding), np.zeros(n, dtype=np.uint8), result,
+                        _select(cm, cm_bit, encoding), np.zeros(n, dtype=np.uint8), result,
                         ~(alive_fwd & alive_bwd), eve, eve_bit, np.zeros(n, dtype=bool))
 
 
@@ -539,14 +556,11 @@ def _pp_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     # genuine pair anticorrelates (either label); with a decoy in the
     # line the two halves belong to different pairs and are independent.
     alice_bit = draws.bits()
-    bob_bit = np.where(eve, draws.bits(), 1 - alice_bit)
-    eve_bit = np.full(n, -1, dtype=np.int8)
-    copied = eve & ~cm
-    eve_bit[copied] = label[copied]
+    bob_bit = _select(eve, draws.bits(), alice_bit ^ 1)
     zeros = np.zeros(n, dtype=np.uint8)
-    return RoundColumns(cm, zeros, zeros, alive_fwd, zeros, np.where(cm, alice_bit, encoding),
-                        zeros, np.where(cm, bob_bit, label), ~alive_fwd | (~cm & ~alive_bwd),
-                        eve, eve_bit, np.zeros(n, dtype=bool))
+    return RoundColumns(cm, zeros, zeros, alive_fwd, zeros, _select(cm, alice_bit, encoding),
+                        zeros, _select(cm, bob_bit, label), ~alive_fwd | (~cm & ~alive_bwd),
+                        eve, _eve_bit(eve & ~cm, label), np.zeros(n, dtype=bool))
 
 
 _KERNELS = {
@@ -568,14 +582,12 @@ def run_session(cfg: SessionConfig) -> Transcript:
     cols = _KERNELS[cfg.protocol](cfg, draws)
     # Disclose a sample of the sifted bits for the message-mode estimate;
     # disclosed rounds are dropped from the key.
-    keep = _sift_mask(cfg.protocol, cols)
-    cols.disclosed = keep & draws.bernoulli(DISCLOSE_FRACTION)
+    cols.disclosed = _sift_mask(cfg.protocol, cols) & draws.bernoulli(DISCLOSE_FRACTION)
 
-    alice_key, bob_key = sift(cfg.protocol, cols)
+    alice_key, bob_key, eve_key = sift(cfg.protocol, cols, cols.eve_bit)
     est = estimate_disturbance(cfg.protocol, cols)
     reason = "no-yield" if cols.lost.all() else _abort_reason(est, cfg)
-    return Transcript(cfg, cols, alice_key, bob_key, cols.eve_bit[keep & ~cols.disclosed],
-                      est, reason is not None, reason)
+    return Transcript(cfg, cols, alice_key, bob_key, eve_key, est, reason is not None, reason)
 
 
 # ---------------------------------------------------------------- transcript CSV
@@ -601,8 +613,7 @@ _CSV_BLOCK_ROWS = 1 << 14
 def _row_codes(cols: RoundColumns, pp: bool) -> np.ndarray:
     """Each row's fields after the index as one mixed-radix code (uint16)."""
     prep = np.full(len(cols.cm), 4, np.uint8) if pp else 2 * cols.prep_basis + cols.prep_bit
-    action = cols.acted * np.where(cols.cm, 3 + 2 * cols.act_basis + cols.act_bit,
-                                   1 + cols.act_bit)
+    action = cols.acted * (1 + cols.act_bit + cols.cm * (2 + 2 * cols.act_basis))
     result = ~cols.lost * (1 + cols.result + np.uint8(2) * (pp & ~cols.cm))
     code = cols.cm.astype(np.uint16)
     for radix, field in zip(_FIELD_RADIX[1:], (prep, action, result, cols.lost, cols.eve)):

@@ -14,10 +14,16 @@ import random
 import numpy as np
 import pytest
 
-from qkdsim.adversary import AttackKind, AttackSpec
+from qkdsim.adversary import AttackKind, AttackSpec, BasisPolicy
 from qkdsim.channel import ChannelSpec
 from qkdsim.kinds import ProtocolKind
-from qkdsim.protocol import SessionConfig, _Draws, run_session, transcript_csv
+from qkdsim.protocol import (
+    _COMPATIBLE_ATTACKS,
+    SessionConfig,
+    _Draws,
+    run_session,
+    transcript_csv,
+)
 
 EDGE_P = [0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.1, 0.9]
 
@@ -126,7 +132,55 @@ STREAM_CASES = {
         channel=ChannelSpec(0.9, 0.02),
         attack=AttackSpec(AttackKind.ANCILLA_UBE, 0.7, f0=1.0, f_plus=0.8)),
         "1ba47071ca840123a7fc8860b540d61eee1775ff93c4ecf6aec7d4d1eb17bdb9"),
+    # One case for every other protocol x attack pair the engine accepts;
+    # the three intercept-resend cases cover the three basis policies.
+    "bb84-ir-random": (SessionConfig(
+        protocol=ProtocolKind.BB84, n_rounds=1000, seed=16,
+        channel=ChannelSpec(0.9, 0.02),
+        attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 0.4, BasisPolicy.RANDOM)),
+        "1f9829323c5939525426bc51ab21cdf5553b60e5a892a41362caa67254828ee8"),
+    "mcas-ir-fixed-z": (SessionConfig(
+        protocol=ProtocolKind.MCAS_BB84, n_rounds=1000, seed=17,
+        channel=ChannelSpec(0.9, 0.02),
+        attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 0.4, BasisPolicy.FIXED_Z)),
+        "670b31e93b3c03916d010e7422c944d39be2e97dab793c9a8966d325c2a64733"),
+    "lm05-ir-fixed-x": (SessionConfig(
+        protocol=ProtocolKind.LM05, n_rounds=1000, seed=18,
+        channel=ChannelSpec(0.9, 0.02),
+        attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 0.4, BasisPolicy.FIXED_X)),
+        "5adf5f0d37c554f85070a73e9470943f9399e5d0b1af0ce068927380a01dbeac"),
+    "pp-none": (SessionConfig(
+        protocol=ProtocolKind.PING_PONG, n_rounds=1000, seed=19,
+        channel=ChannelSpec(0.9, 0.02)),
+        "63dfbad835ee53f28206e23472733d079182690309603acf54f72d19b1042e8b"),
+    "lm05-none": (SessionConfig(
+        protocol=ProtocolKind.LM05, n_rounds=1000, seed=20,
+        channel=ChannelSpec(0.9, 0.02)),
+        "f05b6cf9046e14b2f2f392a9c8b181e770041a5bcd8b2af4871619429bdfe64f"),
+    "mcas-none": (SessionConfig(
+        protocol=ProtocolKind.MCAS_BB84, n_rounds=1000, seed=21,
+        channel=ChannelSpec(0.9, 0.02)),
+        "ab75914ed3a4bb0a1ee833e3cbdaa3541a8de639e50fd9e7894af77f7bdbe05d"),
+    "bb84-ancilla": (SessionConfig(
+        protocol=ProtocolKind.BB84, n_rounds=1000, seed=22,
+        channel=ChannelSpec(0.9, 0.02),
+        attack=AttackSpec(AttackKind.ANCILLA_UBE, 0.7, f0=0.9, f_plus=0.8)),
+        "b40423e0a8e77736f05c5f4ff14cf5c8c2f11ee69a9bad71935a8b15c80e4f04"),
+    "mcas-ancilla": (SessionConfig(
+        protocol=ProtocolKind.MCAS_BB84, n_rounds=1000, seed=23,
+        channel=ChannelSpec(0.9, 0.02),
+        attack=AttackSpec(AttackKind.ANCILLA_UBE, 0.7, f0=0.8, f_plus=0.9)),
+        "d6d871e2068bf5b047c35855241be07113c50564206cb1aeff7b626f58528f10"),
 }
+
+
+def test_stream_cases_cover_every_compatible_pair():
+    pairs = {(cfg.protocol, cfg.attack.kind) for cfg, _ in STREAM_CASES.values()}
+    assert pairs == {(protocol, kind) for kind, protocols in _COMPATIBLE_ATTACKS.items()
+                     for protocol in protocols}
+    policies = {cfg.attack.basis_policy for cfg, _ in STREAM_CASES.values()
+                if cfg.attack.kind is AttackKind.INTERCEPT_RESEND}
+    assert policies == set(BasisPolicy)
 
 
 def key_text(bits):

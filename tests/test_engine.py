@@ -3,7 +3,10 @@
 The transcript keeps its rounds as numpy columns; ``transcript.rounds``
 renders them as RoundRecord objects.  The transcript CSV written from
 the columns must equal the one written row by row from the records, for
-every protocol and every attack that applies to it.
+every protocol and every attack that applies to it.  The engine's
+selects are bitwise arithmetic, so the columns' dtypes and 0/1 values
+are checked as well: a bool flag turned uint8 would make ``~`` give 254
+or 255.
 """
 
 import csv
@@ -11,6 +14,7 @@ import io
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from qkdsim.adversary import AttackKind, AttackSpec
@@ -20,6 +24,7 @@ from qkdsim.protocol import (
     _CSV_BLOCK_ROWS,
     RoundColumns,
     SessionConfig,
+    _select,
     estimate_disturbance,
     run_session,
     sift,
@@ -75,6 +80,10 @@ def render_rows(rounds) -> str:
     return buf.getvalue()
 
 
+FLAG_COLUMNS = ("cm", "acted", "lost", "eve", "disclosed")
+BIT_COLUMNS = ("prep_basis", "prep_bit", "act_basis", "act_bit", "bob_basis", "result")
+
+
 @pytest.mark.parametrize("protocol,attack_kind", PAIRS,
                          ids=[f"{p.value}-{a.value}" for p, a in PAIRS])
 class TestColumnsAgreeWithRecords:
@@ -84,6 +93,30 @@ class TestColumnsAgreeWithRecords:
         # Lines, not one string: a failure then reports the first differing row.
         assert text.splitlines() == render_rows(transcript.rounds).splitlines()
         assert text.endswith("\n")
+
+    def test_column_dtypes(self, protocol, attack_kind):
+        cols = lossy_noisy_session(protocol, attack_kind).columns
+        for name in FLAG_COLUMNS:
+            assert getattr(cols, name).dtype == np.bool_, name
+        for name in BIT_COLUMNS:
+            column = getattr(cols, name)
+            assert column.dtype == np.uint8 and np.isin(column, (0, 1)).all(), name
+        eve_bit = cols.eve_bit
+        assert eve_bit.dtype == np.int8 and np.isin(eve_bit, (-1, 0, 1)).all()
+        assert cols.eve[eve_bit >= 0].all()
+
+
+@pytest.mark.parametrize("cond_dtype", [np.bool_, np.uint8])
+def test_select_matches_where(cond_dtype):
+    """_select(cond, a, b) is np.where(cond, a, b) on 0/1 uint8 columns and a
+    bool or 0/1 condition: all eight input combinations, then random columns."""
+    combos = np.array([(c, x, y) for c in (0, 1) for x in (0, 1) for y in (0, 1)],
+                      dtype=np.uint8).T
+    random_columns = np.random.default_rng(5).integers(0, 2, size=(3, 10001), dtype=np.uint8)
+    for cond, a, b in (combos, random_columns):
+        cond = cond.astype(cond_dtype)
+        got = _select(cond, a, b)
+        assert got.dtype == np.uint8 and np.array_equal(got, np.where(cond, a, b))
 
 
 # One pair per kernel family: one-way, LM05, ping-pong.

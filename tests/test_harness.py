@@ -2,12 +2,16 @@
 
 import csv
 import filecmp
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdsim
 from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for, path_transmittance
 from qkdsim.harness import (
@@ -183,9 +187,25 @@ class TestOneValidationPath:
         path, _ = config_with(tmp_path, "sweep", "sweep", "n_rounds", "300")
         sc = parse_config(path)
         assert sc.session.n_rounds == 300 and sc.p_values == (0.0, 1.0)
-        configs = sc.sweep_configs()
+        configs = sc.sweep_configs
         assert [c.attack.presence for c in configs] == [0.0, 1.0]
         assert [c.seed for c in configs] == [child_seed(1, 0), child_seed(1, 1)]
+
+    def test_sweep_builds_its_sessions_once(self, tmp_path, monkeypatch):
+        """The configs validated at construction are the ones the sweep runs."""
+        from qkdsim.harness import scenario as scenario_module
+
+        session = SessionConfig(protocol=ProtocolKind.LM05, seed=1, n_rounds=200)
+        sc = Scenario("sweep", seed=1, out_dir=str(tmp_path), session=session,
+                      p_values=(0.0, 0.5, 1.0))
+        configs = sc.sweep_configs
+        assert sc.sweep_configs is configs
+        ran = []
+        real = scenario_module.run_session
+        monkeypatch.setattr(scenario_module, "run_session",
+                            lambda cfg: ran.append(cfg) or real(cfg))
+        run_scenario(sc)
+        assert len(ran) == 3 and all(a is b for a, b in zip(ran, configs))
 
     def test_scenario_checks_grid_points(self):
         session = SessionConfig(protocol=ProtocolKind.LM05, seed=1)
@@ -492,6 +512,17 @@ class TestCli:
         assert sweep_csv("again") == plain
         _build_parser.cache_clear()
         assert sweep_csv("fresh") == plain
+
+    def test_runs_with_docstrings_stripped(self, tmp_path):
+        """Under python -OO every __doc__ is None; the CLI must not need one."""
+        src = str(Path(qkdsim.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-OO", "-m", "qkdsim.harness.cli", "curves", "fig2a",
+             "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2a.csv", "fig2a.svg"]
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
