@@ -1,10 +1,11 @@
-"""Line-oriented scenario config files.
+"""Scenario configs: line-oriented files and command-line flags.
 
 Format: `key = value` assignments grouped under `[section]` headers,
 with `#` comments and blank lines ignored.  Unknown sections or keys,
 keys the scenario does not read and out-of-range values are rejected
-with the offending line number.  A seed is mandatory; scenarios never
-fall back to wall-clock seeding.
+with the offending line number.  A command-line flag sets one key and
+is checked the same way, naming the flag.  A seed is mandatory;
+scenarios never fall back to wall-clock seeding.
 """
 
 from dataclasses import dataclass
@@ -17,13 +18,12 @@ from .scenario import Scenario, parse_p_grid
 
 
 class ConfigError(ValueError):
-    """A config file problem, with a line number when one applies."""
+    """A config problem, naming the file line or the flag it came from."""
 
-    def __init__(self, message: str, lineno: int | None = None):
+    def __init__(self, message: str, lineno: int | None = None, flag: str | None = None):
         self.lineno = lineno
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
+        where = f"line {lineno}" if lineno is not None else flag
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 def _parse_bool(text: str) -> bool:
@@ -72,53 +72,67 @@ _SCHEMA = {
 
 @dataclass
 class _Entry:
-    value: object
-    lineno: int
+    value: object  # cast, and set on a file line or by a flag
+    lineno: int | None = None
+    flag: str | None = None
+
+
+def _entry(section: str, key: str, text: str, lineno=None, flag=None) -> _Entry:
+    try:
+        value = _SCHEMA[section][key](text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}", lineno, flag) from None
+    return _Entry(value, lineno, flag)
 
 
 def _read_entries(path: str) -> dict:
     entries: dict[tuple[str, str], _Entry] = {}
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section not in _SCHEMA:
-                    raise ConfigError(f"unknown section [{section}]", lineno)
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected `key = value`, got {line!r}", lineno)
-            key, _, raw_value = line.partition("=")
-            key = key.strip().lower()
-            if section is None:
-                raise ConfigError(f"{key!r} set before any [section] header", lineno)
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
-            if (section, key) in entries:
-                raise ConfigError(f"duplicate key {key!r} in section [{section}]", lineno)
-            caster = _SCHEMA[section][key]
-            try:
-                value = caster(raw_value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from None
-            entries[(section, key)] = _Entry(value, lineno)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # bytes.splitlines breaks lines where text-mode reading would.
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(str(exc), lineno) from None
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in _SCHEMA:
+                raise ConfigError(f"unknown section [{section}]", lineno)
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected `key = value`, got {line!r}", lineno)
+        key, _, raw_value = line.partition("=")
+        key = key.strip().lower()
+        if section is None:
+            raise ConfigError(f"{key!r} set before any [section] header", lineno)
+        if key not in _SCHEMA[section]:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
+        if (section, key) in entries:
+            raise ConfigError(f"duplicate key {key!r} in section [{section}]", lineno)
+        entries[(section, key)] = _entry(section, key, raw_value, lineno)
     return entries
 
 
-def parse_config(path: str) -> Scenario:
-    """Parse a scenario config file into a Scenario.
+def parse_config(path: str | None, flags: dict | None = None) -> Scenario:
+    """Parse a scenario config file and command-line flags into a Scenario.
 
-    Each key set in the file is passed under its own name to the
-    constructor that reads it (Scenario, SessionConfig, ChannelSpec,
-    AttackSpec or LinkBudget), so defaults and range checks live only
-    there.  A constructor's ValueError starts with the field name, which
-    maps back to the key's line.  A key the scenario does not read is
-    rejected, so every value in the file is checked.
+    ``flags`` maps `section.key` to the flag that set it and the flag's
+    text; a flag replaces the file's key, and ``path`` None reads flags
+    alone.  Each key set is passed under its own name to the constructor
+    that reads it (Scenario, SessionConfig, ChannelSpec, AttackSpec or
+    LinkBudget), so defaults and range checks live only there.  A
+    constructor's ValueError starts with the field name, which maps back
+    to the key's line or flag.  A key the scenario does not read is
+    rejected, so every value set is checked.
     """
-    entries = _read_entries(path)
+    entries = {} if path is None else _read_entries(path)
+    for dotted, (flag, text) in (flags or {}).items():
+        section, _, key = dotted.partition(".")
+        entries[(section, key)] = _entry(section, key, text, flag=flag)
     unread = dict(entries)
 
     def require(section, key):
@@ -160,11 +174,12 @@ def parse_config(path: str) -> Scenario:
         scenario = Scenario(**fields)
     except ValueError as exc:
         field = str(exc).split(" ", 1)[0].rstrip(":")
-        read = {key: entry.lineno for (section, key), entry in entries.items()
+        read = {key: entry for (section, key), entry in entries.items()
                 if (section, key) not in unread}
-        raise ConfigError(str(exc), read.get(field)) from None
+        entry = read.get(field, _Entry(None))
+        raise ConfigError(str(exc), entry.lineno, entry.flag) from None
     if unread:
         (section, key), entry = next(iter(unread.items()))
         raise ConfigError(f"key {key!r} in section [{section}] is not read by a "
-                          f"{name} scenario", entry.lineno)
+                          f"{name} scenario", entry.lineno, entry.flag)
     return scenario

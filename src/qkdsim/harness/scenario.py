@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from ..adversary import AttackKind, AttackSpec, BasisPolicy, eve_accuracy
-from ..channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for, path_transmittance
+from ..channel import LinkBudget, leg_transmittance, legs_for, path_transmittance
 from ..infotheory import (
     DEFAULT_D_PD_CM,
+    DEFAULT_GRID_POINTS,
     MutualInfoCurve,
     _linspace,
     build_curve,
@@ -74,7 +75,7 @@ class Scenario:
     name: str
     seed: int
     out_dir: str = "out"
-    n_points: int = 201
+    n_points: int = DEFAULT_GRID_POINTS
     d_pd_cm: float | None = None
     link: LinkBudget = LinkBudget()
     n_rounds: int = DEFAULT_N_ROUNDS
@@ -264,8 +265,6 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             protocol=protocol,
             n_rounds=sc.n_rounds,
             seed=child_seed(sc.seed, i),
-            cm_fraction=0.0 if protocol is ProtocolKind.BB84 else 0.2,
-            channel=ChannelSpec(),
             attack=_TABLE_ATTACKS[protocol],
             d_pd_cm=sc.cm_threshold,
         )

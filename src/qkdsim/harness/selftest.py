@@ -75,8 +75,6 @@ def _mitm_config(protocol: ProtocolKind, presence: float) -> SessionConfig:
         protocol=protocol,
         n_rounds=20000,
         seed=_SEED + int(presence * 100),
-        cm_fraction=0.2,
-        channel=ChannelSpec(),
         attack=AttackSpec(_MITM_ATTACK[protocol], presence),
     )
 
@@ -129,7 +127,7 @@ def _check_critical_disturbance() -> CheckResult:
 
 
 def _check_mutual_info_identity() -> CheckResult:
-    curve = build_curve("fig2a", 201)
+    curve = build_curve("fig2a")
     worst = max(abs(ab + ae - 1.0) for ab, ae in zip(curve.i_ab, curve.i_ae))
     cross = None
     for i in range(len(curve.d_grid) - 1):
@@ -213,8 +211,6 @@ def _check_intercept_resend_baseline() -> CheckResult:
         # requirement holds by a wide margin.
         n_rounds=240000,
         seed=_SEED + 11,
-        cm_fraction=0.0,
-        channel=ChannelSpec(),
         attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM),
     ))
     est = transcript.disturbance
@@ -231,8 +227,6 @@ def _check_mcas_threshold() -> CheckResult:
         protocol=ProtocolKind.MCAS_BB84,
         n_rounds=20000,
         seed=_SEED + 7,
-        cm_fraction=0.2,
-        channel=ChannelSpec(),
         attack=AttackSpec(AttackKind.MITM_MCAS_X, presence),
     ))[0] for presence in (0.5, 0.04))
     hot_est = hot.disturbance

@@ -76,7 +76,6 @@ _CANON = (CanonState.ZERO, CanonState.ONE, CanonState.PLUS, CanonState.MINUS)
 _ENCODINGS = (Encoding.IDENTITY, Encoding.IY)
 # Pair label bit: 0 is the source state PSI_MINUS, 1 the toggled PSI_PLUS.
 _LABELS = (BellLabel.PSI_MINUS, BellLabel.PSI_PLUS)
-_TWO_POW_53 = 2.0 ** 53
 
 _COMPATIBLE_ATTACKS = {
     AttackKind.NO_ATTACK: frozenset(ProtocolKind),
@@ -367,7 +366,7 @@ class _Draws:
     A Bernoulli(p) is u < p for a uniform u = k / 2**53, evaluated
     exactly as k < T with T = ceil(p * 2**53), so p = 0 never fires and
     p = 1 always does; a constant p of 0 or 1 draws nothing.  ``p`` may
-    be a per-round array.  See :meth:`bernoulli` for how k is drawn.
+    be picked per round from a few values.  See :meth:`bernoulli`.
     """
 
     def __init__(self, rng: random.Random, n: int):
@@ -381,7 +380,7 @@ class _Draws:
         raw = self._bytes((self.n + 7) // 8)
         return np.unpackbits(raw, count=self.n, bitorder="little")
 
-    def bernoulli(self, p) -> np.ndarray:
+    def bernoulli(self, p, index=None) -> np.ndarray:
         """One coin per round, about one stream byte each (Knuth & Yao).
 
         Each coin compares a 56-bit uniform V with 8 * T one byte at a
@@ -390,29 +389,35 @@ class _Draws:
         first byte, in one ``randbytes(n)``; the rounds whose bytes so far
         all equal the threshold's then draw their next byte together, in
         round order, and so on for up to seven bytes.  A coin costs
-        1 + 1/255 bytes on average.
+        1 + 1/255 bytes on average.  With ``index``, ``p`` is a short
+        sequence and round i uses p[index[i]].
         """
-        constant = np.ndim(p) == 0
-        if constant:
+        if index is None:
             if p in (0.0, 1.0):
                 return np.full(self.n, p == 1.0)
-            # A Python int keeps every comparison in uint8.
-            threshold = 8 * math.ceil(p * 2 ** 53)
-        else:
-            threshold = np.ceil(np.multiply(p, _TWO_POW_53)).astype(np.uint64) << 3
-        # The top byte is not masked: where p = 1 it is 256, above every draw.
-        top = threshold >> 48
+            limbs = _threshold_limbs(p)  # Python ints keep every comparison in uint8
+        else:  # one row per limb; uint16 holds the top limb 256 of a p of 1
+            limbs = np.array([_threshold_limbs(q) for q in p], dtype=np.uint16).T
+        top = limbs[0] if index is None else limbs[0][index]
         byte = self._bytes(self.n)
         out = byte < top
         tied = np.flatnonzero(byte == top)
-        for shift in (40, 32, 24, 16, 8, 0):
+        for limb in limbs[1:]:
             if not tied.size:
                 break
-            limb = (threshold if constant else threshold[tied]) >> shift & 0xFF
+            if index is not None:
+                limb = limb[index[tied]]
             byte = self._bytes(tied.size)
             out[tied[byte < limb]] = True
             tied = tied[byte == limb]
         return out
+
+
+def _threshold_limbs(p: float) -> list[int]:
+    """The seven bytes of 8 * ceil(p * 2**53), most significant first.  The
+    top byte is not masked: where p = 1 it is 256, above every draw."""
+    threshold = 8 * math.ceil(p * 2 ** 53)
+    return [threshold >> 48, *(threshold >> shift & 0xFF for shift in (40, 32, 24, 16, 8, 0))]
 
 
 def _traverse(draws: _Draws, spec: ChannelSpec, legs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +477,7 @@ def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit):
                 _eve_bit(eve, outcome))
     no_bit = np.full(draws.n, -1, dtype=np.int8)
     if kind is AttackKind.ANCILLA_UBE:
-        keep = draws.bernoulli(np.array([attack.f0, attack.f_plus])[basis])
+        keep = draws.bernoulli((attack.f0, attack.f_plus), index=basis)
         return basis, bit ^ (eve & ~keep), no_bit
     return basis, bit, no_bit
 

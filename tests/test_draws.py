@@ -83,7 +83,8 @@ def test_bernoulli_against_scripted_bytes(batch):
     thresholds = [threshold(x) for x in p.tolist()]
     values = draw_values(rng, thresholds)
     source = ScriptedBytes(script(values, thresholds))
-    coins = _Draws(source, n).bernoulli(p)
+    p_values, index = np.unique(p, return_inverse=True)
+    coins = _Draws(source, n).bernoulli(p_values.tolist(), index=index)
     assert coins.tolist() == [v < t for v, t in zip(values, thresholds)]
     assert coins[p == 1.0].all() and not coins[p == 0.0].any()
     assert source.layers == []

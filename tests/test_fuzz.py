@@ -1,5 +1,5 @@
-"""Property tests: every config file runs or fails cleanly, and every
-session keeps the run invariants.
+"""Property tests: every config file and `sweep` command line runs or
+fails cleanly, and every session keeps the run invariants.
 
 Hypothesis runs derandomized with a fixed example budget, so the suite
 draws the same examples on every run.  The end-to-end cases keep every
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qkdsim.adversary import MIN_FIDELITY, AttackKind, AttackSpec, BasisPolicy, eve_accuracy
 from qkdsim.channel import ChannelSpec
 from qkdsim.harness import ConfigError, parse_config
-from qkdsim.harness.cli import main
+from qkdsim.harness.cli import _FLAGS, main
 from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import _COMPATIBLE_ATTACKS, SessionConfig, _sift_mask, run_session
 
@@ -213,6 +213,60 @@ def test_cli_run_exits_cleanly(case):
             assert not out.exists()
         else:
             assert fault in ("none", "noise") and out.is_dir()
+
+
+_SWEEP_REQUIRED = ("--protocol", "--attack", "--p-grid", "--seed")
+# The other flags of `sweep` that take a value, besides --out.
+_SWEEP_OPTIONAL = ("--rounds", "--cm-fraction", "--transmittance", "--flip-prob",
+                   "--basis-policy", "--d-pd-cm")
+
+
+@st.composite
+def sweep_argvs(draw):
+    """(argv, flags given an invalid value) of a `sweep` command line.
+
+    Each flag takes a value from the config tables of the key it sets:
+    an invalid one 1 time in 10, else a valid one.  A required flag is
+    sometimes left out and an optional one usually is.
+    """
+    argv, invalid = ["sweep"], set()
+    for flag in _SWEEP_REQUIRED + _SWEEP_OPTIONAL:
+        key = tuple(_FLAGS[flag][0].split("."))
+        if not draw(st.sampled_from(range(25 if flag in _SWEEP_REQUIRED else 3))):
+            continue  # left out: 1 in 25 for a required flag, 2 in 3 otherwise
+        if draw(st.sampled_from(range(10))):
+            argv += [flag, draw(st.sampled_from(_VALID[key]))]
+        else:
+            argv += [flag, draw(st.sampled_from(_INVALID[key]))]
+            invalid.add(flag)
+    if draw(st.booleans()):
+        argv.append("--threshold")
+    return argv, invalid
+
+
+@_fuzz(150)
+@given(sweep_argvs())
+def test_cli_sweep_exits_cleanly(case):
+    argv, invalid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        message = stderr.getvalue()
+        assert code in (0, 1), message
+        assert "Traceback" not in message
+        if code == 0:
+            assert not invalid and out.is_dir()
+            return
+        assert message.startswith(("config error: --", "usage error:")), message
+        assert not out.exists()
+        if message.startswith("config error: "):
+            # A bad value, or the attack that does not apply to the protocol.
+            flag = message.removeprefix("config error: ").split(":", 1)[0]
+            assert flag in invalid | {"--attack"}, (flag, invalid, message)
+        else:
+            assert not set(_SWEEP_REQUIRED) <= set(argv), message
 
 
 def _in(lo, hi):

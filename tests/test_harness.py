@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,14 @@ from qkdsim.channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for,
 from qkdsim.harness import (
     ConfigError,
     Scenario,
+    ScenarioResult,
     bits_to_hex,
     child_seed,
     parse_config,
     parse_p_grid,
     run_scenario,
 )
-from qkdsim.harness.cli import _build_parser, main
+from qkdsim.harness.cli import _FLAGS, _build_parser, main
 from qkdsim.harness.scenario import MAX_GRID_POINTS
 from qkdsim.infotheory import DEFAULT_D_PD_CM, critical_disturbance
 from qkdsim.kinds import ProtocolKind
@@ -93,6 +95,18 @@ class TestConfigParsing:
         path = write_config(tmp_path,
                             "# a comment\n\n[scenario]\nname = fig2b\nseed = 2\n")
         assert parse_config(path).name == "fig2b"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, newline):
+        out = tmp_path / "out"
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(newline.join([b"[scenario]", b"name = fig2a", b"seed = 1",
+                                       f"out_dir = {out}".encode(), b"\xff", b""]))
+        with pytest.raises(ConfigError, match="^line 5: 'utf-8' codec can't decode") as info:
+            parse_config(str(path))
+        assert info.value.lineno == 5
+        assert main(["run", str(path)]) == 1
+        assert not out.exists()
 
 
 # Smallest files each scenario accepts; tests append one `key = value`.
@@ -244,8 +258,9 @@ class TestOneValidationPath:
          "--p-grid", "0:1:100000000000", "--rounds", "100", "--seed", "1"],
         ["curves", "fig2a", "--points", "100000000000"],
     ])
-    def test_bad_sweep_flags_leave_no_output(self, tmp_path, argv):
+    def test_bad_sweep_flags_leave_no_output(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: --")
         assert not (tmp_path / "out").exists()
 
     def test_size_bounds(self):
@@ -268,6 +283,137 @@ class TestOneValidationPath:
         path, _ = config_with(tmp_path, name, "scenario", "seed", "1")
         assert main(["run", path, "--seed", "-3"]) == 1
         assert not (tmp_path / "out").exists()
+
+
+# The smallest sweep and curves command lines, and the files that say the same.
+_SWEEP_ARGV = ["sweep", "--protocol", "lm05", "--attack", "none", "--p-grid", "0:1:3",
+               "--seed", "5"]
+_SWEEP_FILE = {"scenario": {"name": "sweep", "seed": "5"}, "session": {"protocol": "lm05"},
+               "attack": {"kind": "none"}, "sweep": {"p_grid": "0:1:3"}}
+_CURVES_ARGV = ["curves", "fig2b"]
+_CURVES_FILE = {"scenario": {"name": "fig2b", "seed": "0"}}
+
+# (command, flag, a value other than the base one, the key the flag sets)
+_FLAG_CASES = [
+    ("sweep", "--protocol", "pp", "session.protocol"),
+    ("sweep", "--attack", "mitm_lm05", "attack.kind"),
+    ("sweep", "--p-grid", "0.1:0.9:4", "sweep.p_grid"),
+    ("sweep", "--seed", "99", "scenario.seed"),
+    ("sweep", "--rounds", "321", "sweep.n_rounds"),
+    ("sweep", "--cm-fraction", "0.35", "session.cm_fraction"),
+    ("sweep", "--out", "elsewhere", "scenario.out_dir"),
+    ("sweep", "--transmittance", "0.8", "channel.transmittance_per_leg"),
+    ("sweep", "--flip-prob", "0.03", "channel.flip_prob"),
+    ("sweep", "--basis-policy", "fixed_z", "attack.basis_policy"),
+    ("sweep", "--threshold", None, "session.enforce_cm_threshold"),
+    ("sweep", "--d-pd-cm", "0.3", "scenario.d_pd_cm"),
+    ("curves", "label", "fig2c", "scenario.name"),
+    ("curves", "--out", "elsewhere", "scenario.out_dir"),
+    ("curves", "--points", "17", "scenario.n_points"),
+    ("curves", "--d-pd-cm", "0.3", "scenario.d_pd_cm"),
+    ("curves", "--seed", "4", "scenario.seed"),
+]
+
+# (command, flag, a value its key rejects)
+_BAD_FLAGS = [
+    ("sweep", "--protocol", "qkd"),
+    ("sweep", "--attack", "laser"),
+    ("sweep", "--attack", "mitm_pp"),  # does not apply to lm05
+    ("sweep", "--p-grid", "0:2:3"),
+    ("sweep", "--p-grid", "0:1"),
+    ("sweep", "--seed", "-1"),
+    ("sweep", "--seed", str(2 ** 64)),
+    ("sweep", "--rounds", "0"),
+    ("sweep", "--rounds", "x"),
+    ("sweep", "--cm-fraction", "1"),
+    ("sweep", "--transmittance", "1.5"),
+    ("sweep", "--flip-prob", "0.6"),
+    ("sweep", "--basis-policy", "diag"),
+    ("sweep", "--d-pd-cm", "0.5"),
+    ("curves", "--points", "1"),
+    ("curves", "--points", "x"),
+    ("curves", "--d-pd-cm", "0"),
+    ("curves", "--seed", "-1"),
+    ("run", "--seed", "-3"),
+    ("run", "--seed", "1.5"),
+]
+
+
+def _scenario_of(monkeypatch, argv):
+    """The Scenario main() builds from argv, without running it."""
+    built = []
+    monkeypatch.setattr("qkdsim.harness.cli.run_scenario",
+                        lambda sc: built.append(sc) or ScenarioResult())
+    assert main(argv) == 0
+    return built[0]
+
+
+def _file(tmp_path, sections) -> str:
+    lines = []
+    for section, keys in sections.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {value}" for key, value in keys.items())
+    return write_config(tmp_path, "\n".join(lines) + "\n")
+
+
+class TestFlagsAreConfigEntries:
+    """Each flag sets one config key, and parse_config checks it as a file's."""
+
+    def test_cases_cover_every_flag(self):
+        assert {flag for _, flag, _, _ in _FLAG_CASES} - {"label"} == set(_FLAGS)
+        assert {(flag, key) for _, flag, _, key in _FLAG_CASES if flag in _FLAGS} == {
+            (flag, key) for flag, (key, _) in _FLAGS.items()}
+
+    @pytest.mark.parametrize("command, flag, value, key", _FLAG_CASES)
+    def test_flag_builds_the_scenario_of_its_key(self, tmp_path, monkeypatch,
+                                                 command, flag, value, key):
+        argv, sections = ((_SWEEP_ARGV, _SWEEP_FILE) if command == "sweep"
+                          else (_CURVES_ARGV, _CURVES_FILE))
+        argv = argv + ["--out", str(tmp_path / "out")]
+        sections = {sec: dict(keys) for sec, keys in sections.items()}
+        sections["scenario"]["out_dir"] = str(tmp_path / "out")
+        section, _, name = key.partition(".")
+        sections.setdefault(section, {})[name] = "true" if value is None else value
+        if flag == "label":
+            argv[1] = value
+        else:
+            argv += [flag] if value is None else [flag, value]
+        from_flags = _scenario_of(monkeypatch, argv)
+        assert from_flags == parse_config(_file(tmp_path, sections))
+        base = _scenario_of(monkeypatch, (_SWEEP_ARGV if command == "sweep"
+                                          else _CURVES_ARGV) + ["--out", str(tmp_path / "out")])
+        assert from_flags != base  # the flag took effect
+
+    @pytest.mark.parametrize("command, flag, value", _BAD_FLAGS)
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        if command == "run":
+            argv = ["run", _file(tmp_path, {"scenario": {"name": "fig2a", "seed": "1"}})]
+        else:
+            argv = list(_SWEEP_ARGV if command == "sweep" else _CURVES_ARGV)
+        assert main(argv + [flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+        assert not out.exists()
+
+    def test_run_flags_replace_the_file_keys(self, tmp_path):
+        path, _ = config_with(tmp_path, "session", "session", "n_rounds", "200")
+        flags = {"scenario.seed": ("--seed", "9"), "scenario.out_dir": ("--out", "elsewhere")}
+        sc = parse_config(path, flags)
+        assert sc.seed == sc.session.seed == 9 and sc.out_dir == "elsewhere"
+        assert sc == replace(parse_config(path), seed=9, out_dir="elsewhere",
+                             session=replace(parse_config(path).session, seed=9))
+
+    def test_run_seed_supplies_a_missing_seed(self, tmp_path):
+        out = tmp_path / "out"
+        path = _file(tmp_path, {"scenario": {"name": "fig2a", "out_dir": str(out)}})
+        assert main(["run", path]) == 1
+        assert main(["run", path, "--seed", "3"]) == 0
+        assert (out / "fig2a.csv").exists()
+
+    def test_file_errors_keep_their_line(self, tmp_path, capsys):
+        path, lineno = config_with(tmp_path, "session", "session", "n_rounds", "0")
+        assert main(["run", path, "--seed", "2"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: line {lineno}: n_rounds")
 
 
 class TestPGrid:
