@@ -147,7 +147,7 @@ class AncillaInteraction:
 class EveAccuracy(NamedTuple):
     """Coverage of the key and correctness on the covered bits."""
 
-    coverage: float
+    coverage: float | None
     accuracy: float | None
 
 
@@ -257,12 +257,11 @@ def eve_accuracy(transcript: "Transcript") -> EveAccuracy:
 
     Key bits Eve never engaged on (-1 in ``eve_key``) are excluded rather
     than scored as guesses; coverage is the fraction she holds.  Accuracy
-    is None when nothing is covered, and both are NaN/None for an empty
-    key.
+    is None when nothing is covered, and both are None for an empty key.
     """
     alice, eve = transcript.alice_key, transcript.eve_key
     if not len(alice):
-        return EveAccuracy(float("nan"), None)
+        return EveAccuracy(None, None)
     covered = eve >= 0
     n_covered = int(np.count_nonzero(covered))
     coverage = n_covered / len(alice)

@@ -35,6 +35,21 @@ _FLAGS = {
 }
 
 
+_VALUE_FLAGS = frozenset(flag for flag, (_, options) in _FLAGS.items() if "action" not in options)
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """Each value flag and its value as one `--flag=value` argument, so that
+    argparse takes a value that starts with `-` (say `-1e-3`) as the value
+    and the config checks, not the parser, judge it."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in _VALUE_FLAGS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 class _UsageError(Exception):
     pass
 
@@ -92,7 +107,7 @@ def _cmd_scenario(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         if args.command == "selftest":
             return run_selftest()
         return _cmd_scenario(args)

@@ -7,7 +7,6 @@ which round-trips exactly.
 """
 
 import csv
-import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -24,18 +23,17 @@ from ..infotheory import (
     _linspace,
     build_curve,
     check_d_pd_cm,
-    eve_info_mitm,
     mutual_info_ab,
-    mutual_info_ae,
 )
 from ..kinds import ProtocolKind
 from ..postproc import DEFAULT_SAFETY_BITS, NO_PRIVACY_REASON, check_bits, privacy_amplify
 from ..protocol import (
-    BB84_ABORT_THRESHOLD,
     DEFAULT_N_ROUNDS,
     MAX_N_ROUNDS,
     SessionConfig,
-    Transcript,
+    abort_threshold,
+    leaked_fraction,
+    monitored_rate,
     run_session,
     write_transcript_csv,
 )
@@ -270,33 +268,22 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         )
         transcript = run_session(cfg)
         est = transcript.disturbance
-        # Empirical rates can spill past the model domain [0, 0.5] by
-        # sampling noise; clamp before evaluating the analytic columns.
-        i_ae = _session_eve_info(transcript)
+        rate, threshold = monitored_rate(cfg), abort_threshold(cfg)
         if protocol is ProtocolKind.BB84:
-            modes = "MM"
-            max_disturbance = BB84_ABORT_THRESHOLD
-            secure_for = f"d_mm < {BB84_ABORT_THRESHOLD}"
-            # None when a session is too short to disclose any bit.
+            # Clamped into the model domain like the leak; None when a
+            # session is too short to disclose any bit.
             i_ab = None if est.d_mm is None else mutual_info_ab(min(est.d_mm, 0.5))
         else:
-            modes = "MM+CM"
             i_ab = 1.0
-            if protocol is ProtocolKind.MCAS_BB84:
-                max_disturbance = sc.cm_threshold
-                secure_for = f"d_cm < {sc.cm_threshold}"
-            else:
-                max_disturbance = None
-                secure_for = "undefined"
         rows.append([
             protocol.value,
-            modes,
+            "MM+CM" if rate == "d_cm" else "MM",
             est.d_mm,
             est.d_cm,
-            max_disturbance if max_disturbance is not None else "undefined",
-            secure_for,
+            "undefined" if threshold is None else threshold,
+            "undefined" if threshold is None else f"{rate} < {threshold}",
             i_ab,
-            i_ae,
+            leaked_fraction(est, cfg),
             legs_for(protocol) * sc.link.distance_km,
             path_transmittance(t_leg, protocol),
             transcript.aborted,
@@ -316,8 +303,7 @@ def _run_sweep_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         transcript = run_session(cfg)
         est = transcript.disturbance
         acc = eve_accuracy(transcript)
-        coverage = None if math.isnan(acc.coverage) else acc.coverage
-        rows.append([cfg.attack.presence, est.d_mm, est.d_cm, coverage, acc.accuracy,
+        rows.append([cfg.attack.presence, est.d_mm, est.d_cm, acc.coverage, acc.accuracy,
                      transcript.aborted])
     path = out / "sweep.csv"
     _write_rows(path, ["p", "d_mm", "d_cm", "eve_coverage", "eve_accuracy", "abort"],
@@ -326,22 +312,6 @@ def _run_sweep_scenario(sc: Scenario, out: Path) -> ScenarioResult:
 
 
 # ---------------------------------------------------------------- session
-
-def _session_eve_info(transcript: Transcript) -> float | None:
-    """Leaked-fraction input for the output-length policy.
-
-    Two-way and message/control protocols use the coverage model on the
-    control estimate; plain BB84 uses the message-mode information curve.
-    """
-    est = transcript.disturbance
-    if transcript.config.protocol is ProtocolKind.BB84:
-        if est.d_mm is None:
-            return None
-        return mutual_info_ae(min(est.d_mm, 0.5))
-    if est.d_cm is None:
-        return None
-    return eve_info_mitm(min(est.d_cm, 0.5))
-
 
 def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     transcript = run_session(sc.session)
@@ -364,7 +334,7 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         ("n_mm", est.n_mm),
         ("n_cm", est.n_cm),
         ("d_cm_half_width_95", est.half_width_95),
-        ("eve_coverage", None if math.isnan(acc.coverage) else acc.coverage),
+        ("eve_coverage", acc.coverage),
         ("eve_accuracy", acc.accuracy),
         ("aborted", transcript.aborted),
         ("abort_reason", transcript.abort_reason or ""),
@@ -375,7 +345,7 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         summary.append(("eve_key_hex", bits_to_hex(transcript.eve_key)))
 
     if not transcript.aborted and len(transcript.alice_key):
-        eve_info = _session_eve_info(transcript)
+        eve_info = leaked_fraction(est, transcript.config)
         if eve_info is not None:
             pa_rng = random.Random(child_seed(transcript.config.seed, 0x70A))
             secret, spec = privacy_amplify(transcript.alice_key, eve_info,

@@ -50,7 +50,7 @@ import numpy as np
 
 from .adversary import AttackKind, AttackSpec, BasisPolicy
 from .channel import ChannelSpec, legs_for
-from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm
+from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm, eve_info_mitm, mutual_info_ae
 from .kinds import ProtocolKind
 from .postproc import MAX_HASH_INPUT_BITS
 from .qstate import Basis, BellLabel, CanonState, Encoding
@@ -226,18 +226,34 @@ class RoundColumns:
 
 @dataclass(frozen=True)
 class DisturbanceEstimate:
-    """Empirical flip rates with sample counts.
+    """Failure counts of a session's three samples.
 
-    ``d_mm`` is None when no message bits were disclosed, ``d_cm`` when
-    no valid control rounds exist (flagged undefined).  The half-width
-    is the 95% binomial interval of the control-mode estimate.
+    ``mm_failed`` of the ``n_mm`` disclosed message bits and
+    ``key_errors`` of the sifted key bits differ between Alice and Bob;
+    ``cm_failed`` of the ``n_cm`` valid control rounds fail their check.
+    A rate is None without a sample (the control one flagged undefined);
+    the half-width is the 95% normal-approximation binomial interval of
+    ``d_cm``, 0 without a control sample.
     """
 
-    d_mm: float | None
-    d_cm: float | None
     n_mm: int
+    mm_failed: int
     n_cm: int
-    half_width_95: float
+    cm_failed: int
+    key_errors: int
+
+    @property
+    def d_mm(self) -> float | None:
+        return self.mm_failed / self.n_mm if self.n_mm else None
+
+    @property
+    def d_cm(self) -> float | None:
+        return self.cm_failed / self.n_cm if self.n_cm else None
+
+    @property
+    def half_width_95(self) -> float:
+        d = self.d_cm
+        return 0.0 if d is None else _Z95 * math.sqrt(d * (1.0 - d) / self.n_cm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,13 +278,6 @@ class Transcript:
     @cached_property
     def rounds(self) -> list[RoundRecord]:
         return self.columns.records(self.config.protocol)
-
-
-def binomial_half_width_95(p_hat: float, n: int) -> float:
-    """95% normal-approximation half-width of a binomial proportion."""
-    if n <= 0:
-        return 0.0
-    return _Z95 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
 def _alice_bits(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
@@ -316,46 +325,66 @@ def _cm_check(protocol: ProtocolKind, cols: RoundColumns) -> tuple[np.ndarray, n
     return np.zeros_like(live), np.zeros_like(live)
 
 
-def estimate_disturbance(protocol: ProtocolKind, cols: RoundColumns) -> DisturbanceEstimate:
-    """Flip rates from the disclosed message sample and the control checks."""
+def estimate_disturbance(protocol: ProtocolKind, cols: RoundColumns,
+                         alice_key: np.ndarray, bob_key: np.ndarray) -> DisturbanceEstimate:
+    """Failure counts of the disclosed message sample, the control checks
+    and the sifted key pair."""
     sample = cols.disclosed & ~cols.lost
-    n_mm = int(np.count_nonzero(sample))
-    mm_fail = int(np.count_nonzero(
-        sample & (_alice_bits(protocol, cols) != _bob_bits(protocol, cols))))
     valid, failed = _cm_check(protocol, cols)
-    n_cm = int(np.count_nonzero(valid))
-    cm_fail = int(np.count_nonzero(valid & failed))
-    d_mm = mm_fail / n_mm if n_mm else None
-    d_cm = cm_fail / n_cm if n_cm else None
-    half_width = binomial_half_width_95(d_cm, n_cm) if d_cm is not None else 0.0
-    return DisturbanceEstimate(d_mm, d_cm, n_mm, n_cm, half_width)
+    return DisturbanceEstimate(
+        int(np.count_nonzero(sample)),
+        int(np.count_nonzero(sample & (_alice_bits(protocol, cols) != _bob_bits(protocol, cols)))),
+        int(np.count_nonzero(valid)),
+        int(np.count_nonzero(valid & failed)),
+        int(np.count_nonzero(alice_key != bob_key)))
 
 
-def _abort_reason(est: DisturbanceEstimate, cfg: SessionConfig) -> str | None:
+# ---------------------------------------------------------------- security rule
+# One rule per protocol decides the abort, the table1 cells and Eve's leak.
+
+def monitored_rate(cfg: SessionConfig) -> str:
+    """The estimate a session is judged on: "d_mm" for BB84, which has no
+    control mode, "d_cm" for the others."""
+    return "d_mm" if cfg.protocol is ProtocolKind.BB84 else "d_cm"
+
+
+def abort_threshold(cfg: SessionConfig) -> float | None:
+    """The monitored rate above which a session aborts, None where undefined.
+
+    BB84 aborts above 0.11 and the asymmetric variant above its
+    predetermined d_pd_cm.  The two-way protocols define no abort level;
+    the optional threshold extension gives them d_pd_cm.
+    """
     if cfg.protocol is ProtocolKind.BB84:
-        if est.d_mm is None:
-            return "no-control-sample"
-        if est.d_mm > BB84_ABORT_THRESHOLD:
-            return "mm-disturbance-exceeded"
-        return None
-    threshold_active = cfg.protocol is ProtocolKind.MCAS_BB84 or cfg.enforce_cm_threshold
-    if threshold_active:
-        if est.d_cm is None:
-            return "no-control-sample"
-        if est.d_cm > cfg.d_pd_cm:
-            return "cm-threshold-exceeded"
+        return BB84_ABORT_THRESHOLD
+    if cfg.protocol is ProtocolKind.MCAS_BB84 or cfg.enforce_cm_threshold:
+        return cfg.d_pd_cm
     return None
 
 
-def abort_decision(est: DisturbanceEstimate, cfg: SessionConfig) -> bool:
-    """Whether the session must be aborted.
+def leaked_fraction(est: DisturbanceEstimate, cfg: SessionConfig) -> float | None:
+    """Eve's share of the key from the monitored rate: h(d_mm) for BB84,
+    the copy model 2 d_cm otherwise, None without a sample.  The rate is
+    clamped at 0.5 first, which sampling noise can pass."""
+    name = monitored_rate(cfg)
+    rate = getattr(est, name)
+    if rate is None:
+        return None
+    return (mutual_info_ae if name == "d_mm" else eve_info_mitm)(min(rate, 0.5))
 
-    BB84 aborts above the hard-coded 0.11 message disturbance.  The
-    asymmetric variant always enforces its predetermined control-mode
-    threshold; the two-way protocols do so only when the optional
-    threshold extension is enabled (they have no inherent abort point).
-    """
-    return _abort_reason(est, cfg) is not None
+
+_EXCEEDED = {"d_mm": "mm-disturbance-exceeded", "d_cm": "cm-threshold-exceeded"}
+
+
+def _abort_reason(est: DisturbanceEstimate, cfg: SessionConfig) -> str | None:
+    threshold = abort_threshold(cfg)
+    if threshold is None:
+        return None
+    name = monitored_rate(cfg)
+    rate = getattr(est, name)
+    if rate is None:
+        return "no-control-sample"
+    return _EXCEEDED[name] if rate > threshold else None
 
 
 # ---------------------------------------------------------------- kernels
@@ -590,7 +619,7 @@ def run_session(cfg: SessionConfig) -> Transcript:
     cols.disclosed = _sift_mask(cfg.protocol, cols) & draws.bernoulli(DISCLOSE_FRACTION)
 
     alice_key, bob_key, eve_key = sift(cfg.protocol, cols, cols.eve_bit)
-    est = estimate_disturbance(cfg.protocol, cols)
+    est = estimate_disturbance(cfg.protocol, cols, alice_key, bob_key)
     reason = "no-yield" if cols.lost.all() else _abort_reason(est, cfg)
     return Transcript(cfg, cols, alice_key, bob_key, eve_key, est, reason is not None, reason)
 

@@ -169,8 +169,9 @@ def test_empty_round_list():
     empty = RoundColumns(**{f.name: getattr(cols, f.name)[:0] for f in fields(cols)})
     alice, bob = sift(ProtocolKind.LM05, empty)
     assert len(alice) == len(bob) == 0
-    est = estimate_disturbance(ProtocolKind.LM05, empty)
+    est = estimate_disturbance(ProtocolKind.LM05, empty, alice, bob)
     assert est.d_mm is None and est.d_cm is None and est.n_mm == est.n_cm == 0
+    assert est.key_errors == 0
 
 
 @pytest.mark.parametrize("protocol", [ProtocolKind.BB84, ProtocolKind.LM05,

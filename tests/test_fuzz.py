@@ -8,7 +8,6 @@ session at most 2000 rounds and every grid at most 5 points.
 
 import contextlib
 import io
-import math
 import tempfile
 from pathlib import Path
 
@@ -19,8 +18,8 @@ from hypothesis import strategies as st
 
 from qkdsim.adversary import MIN_FIDELITY, AttackKind, AttackSpec, BasisPolicy, eve_accuracy
 from qkdsim.channel import ChannelSpec
-from qkdsim.harness import ConfigError, parse_config
 from qkdsim.harness.cli import _FLAGS, main
+from qkdsim.harness.config import ConfigError, parse_config
 from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import _COMPATIBLE_ATTACKS, SessionConfig, _sift_mask, run_session
 
@@ -298,7 +297,8 @@ def session_configs(draw, protocol, kind):
 
 
 def _rate_ok(value) -> bool:
-    return value is None or math.isnan(value) or 0.0 <= value <= 1.0
+    """None for an empty sample (never NaN), else a rate in [0, 1]."""
+    return value is None or 0.0 <= value <= 1.0
 
 
 @pytest.mark.parametrize("protocol,kind", _PAIRS,
@@ -332,6 +332,7 @@ def test_session_invariants(protocol, kind, data):
     if cfg.attack.kind in _EXACT_COPY and cfg.channel.flip_prob == 0.0:
         assert all(e == a for e, a in zip(eve, alice) if e != -1)
     est = transcript.disturbance
+    assert est.key_errors == int(np.count_nonzero(alice != bob))
     acc = eve_accuracy(transcript)
     for rate in (est.d_mm, est.d_cm, est.half_width_95, acc.coverage, acc.accuracy):
         assert _rate_ok(rate), (rate, est, acc)

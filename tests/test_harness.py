@@ -15,22 +15,30 @@ import pytest
 import qkdsim
 from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for, path_transmittance
-from qkdsim.harness import (
-    ConfigError,
+from qkdsim.harness.cli import _FLAGS, _build_parser, main
+from qkdsim.harness.config import ConfigError, parse_config
+from qkdsim.harness.scenario import (
+    _TABLE_ATTACKS,
+    _TABLE_ORDER,
+    MAX_GRID_POINTS,
     Scenario,
     ScenarioResult,
     bits_to_hex,
     child_seed,
-    parse_config,
     parse_p_grid,
     run_scenario,
 )
-from qkdsim.harness.cli import _FLAGS, _build_parser, main
-from qkdsim.harness.scenario import MAX_GRID_POINTS
 from qkdsim.infotheory import DEFAULT_D_PD_CM, critical_disturbance
 from qkdsim.kinds import ProtocolKind
 from qkdsim.postproc import MAX_HASH_INPUT_BITS
-from qkdsim.protocol import MAX_N_ROUNDS, SessionConfig
+from qkdsim.protocol import (
+    MAX_N_ROUNDS,
+    SessionConfig,
+    abort_threshold,
+    leaked_fraction,
+    monitored_rate,
+    run_session,
+)
 
 
 def write_config(tmp_path, text):
@@ -337,6 +345,21 @@ _BAD_FLAGS = [
     ("run", "--seed", "-3"),
     ("run", "--seed", "1.5"),
 ]
+# Values that start with `-` and that argparse does not read as numbers:
+# (command, flag, value, the config check's message).
+_NEGATIVE_FLAGS = [
+    ("sweep", "--flip-prob", "-1e-3", "flip_prob out of [0, 0.5]: -0.001"),
+    ("sweep", "--transmittance", "-5e-1", "transmittance_per_leg out of [0, 1]: -0.5"),
+    ("sweep", "--cm-fraction", "-1e-2", "cm_fraction out of [0, 1): -0.01"),
+    ("sweep", "--d-pd-cm", "-1e-3", "d_pd_cm out of (0, 0.5): -0.001"),
+    ("sweep", "--p-grid", "-1:1:5", "bad value for 'p_grid': presence out of [0, 1]: -1.0"),
+    ("sweep", "--rounds", "-5", f"n_rounds out of [1, {MAX_N_ROUNDS}]: -5"),
+    ("sweep", "--protocol", "-lm05",
+     "bad value for 'protocol': unknown protocol kind: '-lm05'"),
+    ("curves", "--points", "-3", f"n_points out of [2, {MAX_GRID_POINTS}]: -3"),
+    ("curves", "--d-pd-cm", "-0.1e0", "d_pd_cm out of (0, 0.5): -0.1"),
+    ("run", "--seed", "-3", "seed must be a 64-bit integer, got -3"),
+]
 
 
 def _scenario_of(monkeypatch, argv):
@@ -393,6 +416,19 @@ class TestFlagsAreConfigEntries:
             argv = list(_SWEEP_ARGV if command == "sweep" else _CURVES_ARGV)
         assert main(argv + [flag, value, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", _NEGATIVE_FLAGS)
+    def test_negative_flag_value_reaches_the_config_check(self, tmp_path, capsys,
+                                                          command, flag, value, message):
+        """`--flag -1e-3` is the flag's value, not an unknown option."""
+        out = tmp_path / "out"
+        if command == "run":
+            argv = ["run", _file(tmp_path, {"scenario": {"name": "fig2a", "seed": "1"}})]
+        else:
+            argv = list(_SWEEP_ARGV if command == "sweep" else _CURVES_ARGV)
+        assert main(argv + [flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {flag}: {message}\n"
         assert not out.exists()
 
     def test_run_flags_replace_the_file_keys(self, tmp_path):
@@ -526,6 +562,29 @@ class TestTableScenario:
         assert rows["mcasbb84"]["aborted"] == "true"
         assert rows["pp"]["d_mm"] == "0.0"
         assert rows["lm05"]["secure_for"] == "undefined"
+
+
+    @pytest.mark.parametrize("d_pd_cm", [None, 0.1])
+    def test_rule_cells_follow_the_abort_rule(self, tmp_path, d_pd_cm):
+        """modes, max_disturbance, secure_for and i_ae come from the one rule."""
+        sc = Scenario("table1", seed=3, out_dir=str(tmp_path), n_rounds=500, d_pd_cm=d_pd_cm)
+        with open(run_scenario(sc).paths[0], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(_TABLE_ORDER)
+        for i, (row, protocol) in enumerate(zip(rows, _TABLE_ORDER)):
+            cfg = SessionConfig(protocol=protocol, n_rounds=500, seed=child_seed(3, i),
+                                attack=_TABLE_ATTACKS[protocol], d_pd_cm=sc.cm_threshold)
+            threshold, rate = abort_threshold(cfg), monitored_rate(cfg)
+            if threshold is None:
+                assert row["max_disturbance"] == row["secure_for"] == "undefined"
+            else:
+                assert row["max_disturbance"] == repr(threshold)
+                assert row["secure_for"] == f"{rate} < {threshold}"
+            assert row["modes"] == ("MM" if rate == "d_mm" else "MM+CM")
+            leak = leaked_fraction(run_session(cfg).disturbance, cfg)
+            assert row["i_ae"] == ("nan" if leak is None else repr(leak))
+        assert [r["max_disturbance"] for r in rows] == [
+            "0.11", "undefined", "undefined", repr(sc.cm_threshold)]
 
 
 class TestSweepScenario:

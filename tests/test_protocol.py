@@ -10,20 +10,23 @@ from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec
 from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import (
-    Announcement,
+    _COMPATIBLE_ATTACKS,
     DisturbanceEstimate,
     RoundColumns,
-    RoundMode,
     SessionConfig,
-    abort_decision,
+    _abort_reason,
+    abort_threshold,
     estimate_disturbance,
+    leaked_fraction,
+    monitored_rate,
     run_session,
     sift,
     transcript_csv,
 )
-from qkdsim.qstate import BellLabel, Encoding
 
 _FLAGS = ("cm", "acted", "lost", "eve", "disclosed")
+_PAIRS = sorted(((p, k) for k, protocols in _COMPATIBLE_ATTACKS.items() for p in protocols),
+                key=lambda pair: (pair[0].value, pair[1].value))
 
 
 def make_cfg(protocol, n_rounds=2000, seed=7, attack=None, channel=None, **kw):
@@ -61,16 +64,16 @@ class TestCleanSessions:
         assert not transcript.aborted
 
     def test_pp_noiseless_iy_rounds_decode_bunched(self):
-        """Flip-encoded message rounds come back as the bunching label."""
-        transcript = run_session(make_cfg(ProtocolKind.PING_PONG, 1000))
-        checked = 0
-        for rec in transcript.rounds:
-            if rec.mode is RoundMode.MESSAGE and rec.action is Encoding.IY:
-                assert rec.bob_result is BellLabel.PSI_PLUS
-                checked += 1
-            elif rec.mode is RoundMode.MESSAGE and rec.action is Encoding.IDENTITY:
-                assert rec.bob_result is BellLabel.PSI_MINUS
-        assert checked > 100
+        """Flip-encoded message rounds come back as the bunching label.
+
+        Label bit 1 is PSI_PLUS and 0 the source PSI_MINUS; encoding bit 1
+        is iY and 0 the identity.
+        """
+        cols = run_session(make_cfg(ProtocolKind.PING_PONG, 1000)).columns
+        encoded = ~cols.cm & cols.acted
+        assert not cols.lost[encoded].any()
+        assert np.array_equal(cols.result[encoded], cols.act_bit[encoded])
+        assert np.count_nonzero(encoded & (cols.act_bit == 1)) > 100
 
     def test_bb84_yield_is_half(self):
         transcript = run_session(make_cfg(ProtocolKind.BB84, 1000, cm_fraction=0.0))
@@ -102,9 +105,8 @@ class TestNoiseComposition:
         transcript = run_session(cfg)
         expected = 2 * q * (1 - q)
         est = transcript.disturbance
-        mism = int(np.count_nonzero(transcript.alice_key != transcript.bob_key))
-        rate = (mism + est.d_mm * est.n_mm) / (len(transcript.alice_key) + est.n_mm)
         n = len(transcript.alice_key) + est.n_mm
+        rate = (est.key_errors + est.mm_failed) / n
         assert abs(rate - expected) <= 4 * math.sqrt(expected * (1 - expected) / n)
 
 
@@ -114,11 +116,12 @@ class TestLoss:
                        channel=ChannelSpec(0.7, 0.0, legs=2))
         transcript = run_session(cfg)
         assert np.array_equal(transcript.alice_key, transcript.bob_key)
-        lost = sum(1 for r in transcript.rounds if r.lost)
+        lost = int(np.count_nonzero(transcript.columns.lost))
         # Round trip survival 0.49.
         assert abs(lost / 4000 - (1 - 0.49)) <= 4 * math.sqrt(0.25 / 4000)
-        for rec in transcript.rounds:
-            assert rec.lost == (rec.bob_result is None)
+        # A lost round has no result in the transcript, a received one has.
+        rows = [line.split(",") for line in transcript_csv(transcript).splitlines()[1:]]
+        assert all((row[5] == "true") == (row[4] == "") for row in rows)
 
     def test_opaque_channel_aborts_no_yield(self):
         cfg = make_cfg(ProtocolKind.LM05, 50, seed=13,
@@ -192,46 +195,114 @@ class TestDisturbanceEstimation:
 
     def test_half_width_formula(self):
         # Preparation ZERO, announced in Z: outcome 1 in the first 25 rounds.
-        est = estimate_disturbance(ProtocolKind.LM05, make_columns(
-            100, cm=True, acted=True, act_bit=[1] * 25 + [0] * 75, result=1))
-        assert est.d_cm == 0.25
+        cols = make_columns(100, cm=True, acted=True, act_bit=[1] * 25 + [0] * 75, result=1)
+        est = estimate_disturbance(ProtocolKind.LM05, cols, *sift(ProtocolKind.LM05, cols))
+        assert (est.n_cm, est.cm_failed) == (100, 25) and est.d_cm == 0.25
         assert est.half_width_95 == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 100))
+        assert DisturbanceEstimate(0, 0, 0, 0, 0).half_width_95 == 0.0
 
     def test_lm05_mismatched_bases_discarded(self):
         # Preparation ZERO, announcement X:0.
-        est = estimate_disturbance(ProtocolKind.LM05, make_columns(
-            1, cm=True, acted=True, act_basis=1))
+        cols = make_columns(1, cm=True, acted=True, act_basis=1)
+        est = estimate_disturbance(ProtocolKind.LM05, cols, *sift(ProtocolKind.LM05, cols))
         assert est.n_cm == 0 and est.d_cm is None
 
+    @pytest.mark.parametrize("protocol,kind", _PAIRS, ids=[f"{p.value}-{k.value}"
+                                                           for p, k in _PAIRS])
+    def test_counts_match_a_recount(self, protocol, kind):
+        """On a lossy, noisy line under every compatible attack, the counts
+        equal a recount from the columns and keys, and the rates and the
+        half-width follow from them."""
+        cfg = make_cfg(protocol, 3000, seed=22, cm_fraction=0.3,
+                       channel=ChannelSpec(0.9, 0.05),
+                       attack=AttackSpec(kind, 0.6, f0=0.8, f_plus=0.7))
+        transcript = run_session(cfg)
+        cols, est = transcript.columns, transcript.disturbance
+        alice = cols.act_bit if protocol.is_two_way else cols.prep_bit
+        bob = cols.result ^ cols.prep_bit if protocol is ProtocolKind.LM05 else cols.result
+        live_cm = cols.cm & ~cols.lost
+        valid, failed = {
+            ProtocolKind.BB84: (np.zeros_like(live_cm), live_cm),
+            ProtocolKind.MCAS_BB84: (live_cm & (cols.bob_basis == 1),
+                                     cols.result != cols.prep_bit),
+            ProtocolKind.LM05: (live_cm & (cols.act_basis == cols.prep_basis),
+                                cols.act_bit != cols.prep_bit),
+            ProtocolKind.PING_PONG: (live_cm, cols.result == cols.act_bit),
+        }[protocol]
+        disclosed = cols.disclosed & ~cols.lost
+        assert est == DisturbanceEstimate(
+            n_mm=int(disclosed.sum()), mm_failed=int((disclosed & (alice != bob)).sum()),
+            n_cm=int(valid.sum()), cm_failed=int((valid & failed).sum()),
+            key_errors=int((transcript.alice_key != transcript.bob_key).sum()))
+        assert est.n_mm > 0 and est.key_errors > 0
+        assert (est.n_cm > 0) == (protocol is not ProtocolKind.BB84)
+        assert est.d_mm == est.mm_failed / est.n_mm
+        if est.n_cm:
+            assert est.d_cm == est.cm_failed / est.n_cm
+            assert est.half_width_95 == 1.96 * math.sqrt(est.d_cm * (1 - est.d_cm) / est.n_cm)
+        else:
+            assert est.d_cm is None and est.half_width_95 == 0.0
 
-class TestAbortDecision:
-    def _estimate(self, d_mm=None, d_cm=None, n_mm=0, n_cm=0):
-        return DisturbanceEstimate(d_mm, d_cm, n_mm, n_cm, 0.0)
 
-    def test_mcas_threshold_exceeded(self):
-        cfg = make_cfg(ProtocolKind.MCAS_BB84, d_pd_cm=0.05)
-        assert abort_decision(self._estimate(d_mm=0.0, d_cm=0.06, n_mm=10, n_cm=100), cfg)
+# (protocol, enforce_cm_threshold): the abort level at d_pd_cm = 0.1, None
+# where the protocol defines none.
+_ABORT_LEVELS = {
+    (ProtocolKind.BB84, False): 0.11, (ProtocolKind.BB84, True): 0.11,
+    (ProtocolKind.MCAS_BB84, False): 0.1, (ProtocolKind.MCAS_BB84, True): 0.1,
+    (ProtocolKind.LM05, False): None, (ProtocolKind.LM05, True): 0.1,
+    (ProtocolKind.PING_PONG, False): None, (ProtocolKind.PING_PONG, True): 0.1,
+}
 
-    def test_bb84_hard_threshold(self):
-        cfg = make_cfg(ProtocolKind.BB84)
-        assert abort_decision(self._estimate(d_mm=0.12, n_mm=100), cfg)
-        assert not abort_decision(self._estimate(d_mm=0.11, n_mm=100), cfg)
 
-    def test_clean_proceeds(self):
-        cfg = make_cfg(ProtocolKind.MCAS_BB84, d_pd_cm=0.05)
-        assert not abort_decision(self._estimate(d_mm=0.0, d_cm=0.0, n_mm=10, n_cm=100), cfg)
+class TestAbortRule:
+    """The one security rule: which rate, its abort level and Eve's leak."""
 
-    def test_two_way_without_extension_never_aborts(self):
-        cfg = make_cfg(ProtocolKind.LM05)
-        assert not abort_decision(self._estimate(d_mm=0.0, d_cm=0.5, n_mm=10, n_cm=100), cfg)
+    @pytest.mark.parametrize("protocol,enforce", list(_ABORT_LEVELS),
+                             ids=[f"{p.value}-{e}" for p, e in _ABORT_LEVELS])
+    @pytest.mark.parametrize("sample", ["none", "clean", "at-limit", "above", "half"])
+    def test_abort_rule_table(self, protocol, enforce, sample):
+        cfg = make_cfg(protocol, d_pd_cm=0.1, enforce_cm_threshold=enforce)
+        level = _ABORT_LEVELS[protocol, enforce]
+        rate = "d_mm" if protocol is ProtocolKind.BB84 else "d_cm"
+        assert monitored_rate(cfg) == rate
+        assert abort_threshold(cfg) == level
+        # 100 monitored samples, judged at the level (d_pd_cm where there is
+        # none); the other rate always has a clean sample.
+        limit = round(100 * (0.1 if level is None else level))
+        sampled = {"none": (0, 0), "clean": (100, 0), "at-limit": (100, limit),
+                   "above": (100, limit + 1), "half": (100, 50)}[sample]
+        (n_mm, mm_failed), (n_cm, cm_failed) = (
+            (sampled, (10, 0)) if rate == "d_mm" else ((10, 0), sampled))
+        est = DisturbanceEstimate(n_mm=n_mm, mm_failed=mm_failed, n_cm=n_cm,
+                                  cm_failed=cm_failed, key_errors=0)
+        exceeded = "mm-disturbance-exceeded" if rate == "d_mm" else "cm-threshold-exceeded"
+        want = {"none": "no-control-sample", "above": exceeded, "half": exceeded}.get(sample)
+        assert _abort_reason(est, cfg) == (None if level is None else want)
+        # Eve's leak reads the same rate: h(d) for BB84, 2 d otherwise.
+        d = getattr(est, rate)
+        if d is None:
+            assert leaked_fraction(est, cfg) is None
+        elif rate == "d_mm":
+            assert leaked_fraction(est, cfg) == pytest.approx(
+                -(d * math.log2(d) + (1 - d) * math.log2(1 - d)) if d else 0.0)
+        else:
+            assert leaked_fraction(est, cfg) == 2 * d
 
-    def test_two_way_with_extension(self):
-        cfg = make_cfg(ProtocolKind.LM05, enforce_cm_threshold=True, d_pd_cm=0.1)
-        assert abort_decision(self._estimate(d_mm=0.0, d_cm=0.2, n_mm=10, n_cm=100), cfg)
+    def test_leak_clamps_rates_past_one_half(self):
+        est = DisturbanceEstimate(n_mm=4, mm_failed=3, n_cm=4, cm_failed=3, key_errors=0)
+        assert leaked_fraction(est, make_cfg(ProtocolKind.BB84)) == 1.0
+        assert leaked_fraction(est, make_cfg(ProtocolKind.LM05)) == 1.0
 
-    def test_missing_control_sample_aborts(self):
-        cfg = make_cfg(ProtocolKind.MCAS_BB84)
-        assert abort_decision(self._estimate(d_mm=0.0, n_mm=10), cfg)
+    def test_sessions_abort_by_the_rule(self):
+        """A live session aborts exactly when the rule says so."""
+        attack = {ProtocolKind.BB84: AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0),
+                  ProtocolKind.MCAS_BB84: AttackSpec(AttackKind.MITM_MCAS_X, 1.0),
+                  ProtocolKind.LM05: AttackSpec(AttackKind.MITM_LM05, 1.0),
+                  ProtocolKind.PING_PONG: AttackSpec(AttackKind.MITM_PING_PONG, 1.0)}
+        for protocol, enforce in _ABORT_LEVELS:
+            transcript = run_session(make_cfg(protocol, 2000, attack=attack[protocol],
+                                              d_pd_cm=0.1, enforce_cm_threshold=enforce))
+            assert transcript.aborted == (_ABORT_LEVELS[protocol, enforce] is not None)
 
 
 class TestDeterminism:
@@ -276,14 +347,10 @@ class TestTranscriptCsv:
         assert eve_flags == {"true"}
 
     def test_mm_rows_carry_encoding_cm_rows_announcement(self):
-        transcript = run_session(make_cfg(ProtocolKind.LM05, 400, seed=21))
-        for rec in transcript.rounds:
-            if rec.lost:
-                continue
-            if rec.mode is RoundMode.MESSAGE:
-                assert isinstance(rec.action, Encoding)
-            else:
-                assert isinstance(rec.action, Announcement)
+        """Every received round was acted on: an encoding on a message
+        round, an announcement on a control round."""
+        cols = run_session(make_cfg(ProtocolKind.LM05, 400, seed=21)).columns
+        assert cols.acted[~cols.lost].all()
 
 
 class TestConfigValidation:
