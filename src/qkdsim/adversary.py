@@ -47,20 +47,12 @@ class AttackKind(Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "AttackKind":
-        aliases = {
-            "none": cls.NO_ATTACK,
-            "no_attack": cls.NO_ATTACK,
-            "intercept_resend": cls.INTERCEPT_RESEND,
-            "ir": cls.INTERCEPT_RESEND,
-            "mitm_pp": cls.MITM_PING_PONG,
-            "mitm_pingpong": cls.MITM_PING_PONG,
-            "mitm_lm05": cls.MITM_LM05,
-            "mitm_mcas_x": cls.MITM_MCAS_X,
-            "ancilla_ube": cls.ANCILLA_UBE,
-        }
+        key = text.strip().lower()
+        aliases = {"no_attack": cls.NO_ATTACK, "ir": cls.INTERCEPT_RESEND,
+                   "mitm_pingpong": cls.MITM_PING_PONG}
         try:
-            return aliases[text.strip().lower()]
-        except KeyError:
+            return aliases.get(key) or cls(key)
+        except ValueError:
             raise ValueError(f"unknown attack kind: {text!r}") from None
 
 

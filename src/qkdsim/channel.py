@@ -27,22 +27,18 @@ _LEGS = {
 class ChannelSpec:
     """Per-leg survival probability and flip probability.
 
-    ``legs`` is the number of leg traversals one protocol round pays;
-    leave it None to derive the conventional count from the protocol.
+    A round pays its protocol's leg count (:func:`legs_for`).
     Transmittance 0 is allowed as a degenerate opaque channel.
     """
 
     transmittance_per_leg: float = 1.0
     flip_prob: float = 0.0
-    legs: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.transmittance_per_leg <= 1.0:
             raise ValueError(f"transmittance_per_leg out of [0, 1]: {self.transmittance_per_leg!r}")
         if not 0.0 <= self.flip_prob <= 0.5:
             raise ValueError(f"flip_prob out of [0, 0.5]: {self.flip_prob!r}")
-        if self.legs is not None and self.legs < 1:
-            raise ValueError(f"legs must be positive, got {self.legs!r}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 
+from ..infotheory import CURVE_LABELS
 from .config import parse_config
 from .scenario import run_scenario
 from .selftest import run_selftest
@@ -55,6 +56,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # full flag names only, the ones `_join_values` joins
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -76,7 +80,7 @@ def _build_parser() -> _Parser:
     _add_flags(run_p, "--out", "--seed")
 
     curves_p = sub.add_parser("curves", help="emit a bundled curve set")
-    curves_p.add_argument("label", choices=["fig2a", "fig2b", "fig2c"])
+    curves_p.add_argument("label", choices=CURVE_LABELS)
     _add_flags(curves_p, "--out", "--points", "--d-pd-cm", "--seed")
     curves_p.set_defaults(**{"scenario.seed": "0"})  # curves are seed-free analytics
 

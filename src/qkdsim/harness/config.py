@@ -52,7 +52,6 @@ _SCHEMA = {
     "channel": {
         "transmittance_per_leg": float,
         "flip_prob": float,
-        "legs": int,
         "alpha_db_per_km": float,
         "distance_km": float,
     },
@@ -156,8 +155,7 @@ def parse_config(path: str | None, flags: dict | None = None) -> Scenario:
             sweep = name == "sweep"
             fields["session"] = SessionConfig(
                 seed=fields["seed"],
-                channel=ChannelSpec(**take("channel", "transmittance_per_leg", "flip_prob",
-                                           "legs")),
+                channel=ChannelSpec(**take("channel", "transmittance_per_leg", "flip_prob")),
                 attack=AttackSpec(**take("attack", "kind", *(() if sweep else ("presence",)),
                                          "basis_policy", "f0", "f_plus")),
                 **take("session", "protocol", "cm_fraction", "enforce_cm_threshold"),

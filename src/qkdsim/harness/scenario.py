@@ -17,6 +17,7 @@ import numpy as np
 from ..adversary import AttackKind, AttackSpec, BasisPolicy, eve_accuracy
 from ..channel import LinkBudget, leg_transmittance, legs_for, path_transmittance
 from ..infotheory import (
+    CURVE_LABELS,
     DEFAULT_D_PD_CM,
     DEFAULT_GRID_POINTS,
     MutualInfoCurve,
@@ -38,15 +39,11 @@ from ..protocol import (
     write_transcript_csv,
 )
 
-SCENARIO_NAMES = ("fig2a", "fig2b", "fig2c", "table1", "sweep", "session")
-
 # Most points of a curve grid or a presence grid.  Every point is a
 # Python float in memory and a row of the report.
 MAX_GRID_POINTS = 2 ** 20
 
-_TABLE_ORDER = (ProtocolKind.BB84, ProtocolKind.PING_PONG,
-                ProtocolKind.LM05, ProtocolKind.MCAS_BB84)
-
+# Table1's rows in order, each under its protocol's worst-case attack.
 _TABLE_ATTACKS = {
     ProtocolKind.BB84: AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM),
     ProtocolKind.PING_PONG: AttackSpec(AttackKind.MITM_PING_PONG, 1.0),
@@ -254,7 +251,7 @@ def _run_curve_scenario(sc: Scenario, out: Path) -> ScenarioResult:
 def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     t_leg = leg_transmittance(sc.link)
     rows = []
-    for i, protocol in enumerate(_TABLE_ORDER):
+    for i, (protocol, attack) in enumerate(_TABLE_ATTACKS.items()):
         # Disturbance columns come from a live session under the
         # protocol's worst-case attack on a lossless, noiseless line;
         # distance and transmittance columns are analytic for the
@@ -263,7 +260,7 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             protocol=protocol,
             n_rounds=sc.n_rounds,
             seed=child_seed(sc.seed, i),
-            attack=_TABLE_ATTACKS[protocol],
+            attack=attack,
             d_pd_cm=sc.cm_threshold,
         )
         transcript = run_session(cfg)
@@ -362,14 +359,17 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
                           session_aborted=transcript.aborted)
 
 
+_RUNNERS = {
+    **dict.fromkeys(CURVE_LABELS, _run_curve_scenario),
+    "table1": _run_table_scenario,
+    "sweep": _run_sweep_scenario,
+    "session": _run_session_scenario,
+}
+SCENARIO_NAMES = tuple(_RUNNERS)
+
+
 def run_scenario(sc: Scenario) -> ScenarioResult:
     """Run a scenario, writing its report files under sc.out_dir."""
     out = Path(sc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if sc.name in ("fig2a", "fig2b", "fig2c"):
-        return _run_curve_scenario(sc, out)
-    if sc.name == "table1":
-        return _run_table_scenario(sc, out)
-    if sc.name == "sweep":
-        return _run_sweep_scenario(sc, out)
-    return _run_session_scenario(sc, out)
+    return _RUNNERS[sc.name](sc, out)

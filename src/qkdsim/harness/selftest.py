@@ -13,7 +13,7 @@ import math
 import random
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -34,14 +34,9 @@ from ..postproc import (
     universal_hash,
 )
 from ..protocol import SessionConfig, run_session
-from .scenario import Scenario, run_scenario
+from .scenario import _TABLE_ATTACKS, Scenario, run_scenario
 
 _SEED = 987654321
-
-_MITM_ATTACK = {
-    ProtocolKind.PING_PONG: AttackKind.MITM_PING_PONG,
-    ProtocolKind.LM05: AttackKind.MITM_LM05,
-}
 
 
 @dataclass
@@ -75,7 +70,7 @@ def _mitm_config(protocol: ProtocolKind, presence: float) -> SessionConfig:
         protocol=protocol,
         n_rounds=20000,
         seed=_SEED + int(presence * 100),
-        attack=AttackSpec(_MITM_ATTACK[protocol], presence),
+        attack=replace(_TABLE_ATTACKS[protocol], presence=presence),
     )
 
 
@@ -251,11 +246,9 @@ def _check_table1() -> CheckResult:
     col_d = header.index("photon_distance_km")
     col_p = header.index("protocol")
     t_leg = leg_transmittance(link)
-    order = (ProtocolKind.BB84, ProtocolKind.PING_PONG, ProtocolKind.LM05,
-             ProtocolKind.MCAS_BB84)
-    ok = True
+    ok = len(lines) == len(_TABLE_ATTACKS) + 1
     seen = []
-    for line, protocol in zip(lines[1:], order):
+    for line, protocol in zip(lines[1:], _TABLE_ATTACKS):
         cells = line.split(",")
         ok = ok and cells[col_p] == protocol.value
         ok = ok and float(cells[col_t]) == path_transmittance(t_leg, protocol)

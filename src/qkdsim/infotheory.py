@@ -128,29 +128,12 @@ def build_curve(label: str, n_points: int = DEFAULT_GRID_POINTS,
     """Sample one of the bundled curve presets (see module docstring)."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
-    if label == "fig2a":
-        grid = _linspace(0.0, 0.5, n_points)
-        return MutualInfoCurve(
-            grid,
-            tuple(mutual_info_ab(d) for d in grid),
-            tuple(mutual_info_ae(d) for d in grid),
-            label,
-        )
-    if label == "fig2b":
-        grid = _linspace(0.0, 0.5, n_points)
-        return MutualInfoCurve(
-            grid,
-            tuple(1.0 for _ in grid),
-            tuple(eve_info_mitm(d) for d in grid),
-            label,
-        )
-    if label == "fig2c":
+    if label not in CURVE_LABELS:
+        raise ValueError(f"unknown curve label: {label!r}")
+    if label == "fig2c":  # fig2b's copy model, up to the control threshold
         check_d_pd_cm(d_pd_cm)
-        grid = _linspace(0.0, d_pd_cm, n_points)
-        return MutualInfoCurve(
-            grid,
-            tuple(1.0 for _ in grid),
-            tuple(eve_info_mitm(d) for d in grid),
-            label,
-        )
-    raise ValueError(f"unknown curve label: {label!r}")
+    grid = _linspace(0.0, d_pd_cm if label == "fig2c" else 0.5, n_points)
+    if label == "fig2a":
+        return MutualInfoCurve(grid, tuple(map(mutual_info_ab, grid)),
+                               tuple(map(mutual_info_ae, grid)), label)
+    return MutualInfoCurve(grid, (1.0,) * n_points, tuple(map(eve_info_mitm, grid)), label)

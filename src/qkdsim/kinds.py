@@ -17,16 +17,10 @@ class ProtocolKind(Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "ProtocolKind":
-        aliases = {
-            "bb84": cls.BB84,
-            "pp": cls.PING_PONG,
-            "pingpong": cls.PING_PONG,
-            "ping_pong": cls.PING_PONG,
-            "lm05": cls.LM05,
-            "mcasbb84": cls.MCAS_BB84,
-            "mcas_bb84": cls.MCAS_BB84,
-        }
+        key = text.strip().lower()
+        aliases = {"pingpong": cls.PING_PONG, "ping_pong": cls.PING_PONG,
+                   "mcas_bb84": cls.MCAS_BB84}
         try:
-            return aliases[text.strip().lower()]
-        except KeyError:
+            return aliases.get(key) or cls(key)
+        except ValueError:
             raise ValueError(f"unknown protocol kind: {text!r}") from None

@@ -132,14 +132,6 @@ class SessionConfig:
         if self.protocol not in _COMPATIBLE_ATTACKS[self.attack.kind]:
             raise ValueError(
                 f"kind {self.attack.kind.value} does not apply to {self.protocol.value}")
-        legs = self.resolved_legs
-        if self.protocol.is_two_way and legs % 2 != 0:
-            raise ValueError(
-                f"legs: two-way protocols need an even leg count, got {legs}")
-
-    @property
-    def resolved_legs(self) -> int:
-        return self.channel.legs if self.channel.legs is not None else legs_for(self.protocol)
 
 
 @dataclass(slots=True)
@@ -374,6 +366,7 @@ def leaked_fraction(est: DisturbanceEstimate, cfg: SessionConfig) -> float | Non
 
 
 _EXCEEDED = {"d_mm": "mm-disturbance-exceeded", "d_cm": "cm-threshold-exceeded"}
+_NO_SAMPLE = {"d_mm": "no-message-sample", "d_cm": "no-control-sample"}
 
 
 def _abort_reason(est: DisturbanceEstimate, cfg: SessionConfig) -> str | None:
@@ -383,7 +376,7 @@ def _abort_reason(est: DisturbanceEstimate, cfg: SessionConfig) -> str | None:
     name = monitored_rate(cfg)
     rate = getattr(est, name)
     if rate is None:
-        return "no-control-sample"
+        return _NO_SAMPLE[name]
     return _EXCEEDED[name] if rate > threshold else None
 
 
@@ -523,7 +516,7 @@ def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     prep_bit = draws.bits()
     eve = _engaged(cfg.attack, draws)
     basis, bit, eve_bit = _forward_attack(cfg.attack, draws, eve, prep_basis, prep_bit)
-    alive, flip = _traverse(draws, cfg.channel, cfg.resolved_legs)
+    alive, flip = _traverse(draws, cfg.channel, legs_for(cfg.protocol))
     bob_basis = draws.bits()
     result = _measure(draws, bob_basis, basis, bit ^ flip)
     zeros = np.zeros(n, dtype=np.uint8)
@@ -533,7 +526,7 @@ def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
 
 def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     n = draws.n
-    legs = cfg.resolved_legs
+    half = legs_for(cfg.protocol) // 2  # legs each way
     prep_basis, prep_bit = draws.bits(), draws.bits()
     cm = draws.bernoulli(cfg.cm_fraction)
     attack = cfg.attack
@@ -545,7 +538,7 @@ def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
         decoy_basis, decoy_bit = draws.bits(), draws.bits()
         basis = _select(eve, decoy_basis, basis)
         bit = _select(eve, decoy_bit, bit)
-    alive_fwd, flip = _traverse(draws, cfg.channel, legs // 2)
+    alive_fwd, flip = _traverse(draws, cfg.channel, half)
     bit = bit ^ flip
     # Message rounds apply I or iY (iY toggles the bit in either basis);
     # control rounds measure in a random basis, announce and re-prepare.
@@ -554,7 +547,7 @@ def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     cm_bit = _measure(draws, cm_basis, basis, bit)
     bit = _select(cm, cm_bit, bit ^ encoding)
     basis = _select(cm, cm_basis, basis)
-    alive_bwd, flip = _traverse(draws, cfg.channel, legs - legs // 2)
+    alive_bwd, flip = _traverse(draws, cfg.channel, half)
     bit = bit ^ flip
     if copy:
         # She reads the encoding off the returned decoy and replays it
@@ -578,12 +571,12 @@ def _pp_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     stored genuine pair hands the preparer the very same label.
     """
     n = draws.n
-    legs = cfg.resolved_legs
+    half = legs_for(cfg.protocol) // 2  # legs each way
     cm = draws.bernoulli(cfg.cm_fraction)
     eve = _engaged(cfg.attack, draws)
-    alive_fwd, flip_fwd = _traverse(draws, cfg.channel, legs // 2)
+    alive_fwd, flip_fwd = _traverse(draws, cfg.channel, half)
     encoding = draws.bits()
-    alive_bwd, flip_bwd = _traverse(draws, cfg.channel, legs - legs // 2)
+    alive_bwd, flip_bwd = _traverse(draws, cfg.channel, half)
     label = encoding ^ flip_fwd ^ flip_bwd
     # Control mode: the encoder measures her received photon in Z and
     # announces; the preparer measures his stored pair half in Z.  A

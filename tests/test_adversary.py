@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,38 @@ class TestAttackSpec:
         assert AttackKind.from_string("mitm_lm05") is AttackKind.MITM_LM05
         with pytest.raises(ValueError):
             AttackKind.from_string("bogus")
+
+
+# Every accepted spelling of a protocol or attack and the member it names.
+_SPELLINGS = [
+    ("bb84", ProtocolKind.BB84), ("pp", ProtocolKind.PING_PONG),
+    ("pingpong", ProtocolKind.PING_PONG), ("ping_pong", ProtocolKind.PING_PONG),
+    ("lm05", ProtocolKind.LM05), ("mcasbb84", ProtocolKind.MCAS_BB84),
+    ("mcas_bb84", ProtocolKind.MCAS_BB84),
+    ("none", AttackKind.NO_ATTACK), ("no_attack", AttackKind.NO_ATTACK),
+    ("intercept_resend", AttackKind.INTERCEPT_RESEND), ("ir", AttackKind.INTERCEPT_RESEND),
+    ("mitm_pp", AttackKind.MITM_PING_PONG), ("mitm_pingpong", AttackKind.MITM_PING_PONG),
+    ("mitm_lm05", AttackKind.MITM_LM05), ("mitm_mcas_x", AttackKind.MITM_MCAS_X),
+    ("ancilla_ube", AttackKind.ANCILLA_UBE),
+]
+
+
+class TestSpellings:
+    def test_every_member_has_its_value_as_a_spelling(self):
+        assert {member for _, member in _SPELLINGS} == {*ProtocolKind, *AttackKind}
+        assert len(_SPELLINGS) == 16
+
+    @pytest.mark.parametrize("text, member", _SPELLINGS, ids=[t for t, _ in _SPELLINGS])
+    def test_spelling_maps_to_its_member(self, text, member):
+        parse = type(member).from_string
+        for variant in (text, text.upper(), f"  {text}\t", f" {text.upper()} "):
+            assert parse(variant) is member
+
+    @pytest.mark.parametrize("kind", [ProtocolKind, AttackKind])
+    @pytest.mark.parametrize("text", ["bogus", "", "ping-pong", "mitm", "PP_"])
+    def test_unknown_spelling_is_named(self, kind, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            kind.from_string(text)
 
 
 class TestXiFromFidelities:
@@ -470,7 +503,7 @@ class TestEveAccuracy:
     def test_empty_key_flagged(self):
         cfg = SessionConfig(
             protocol=ProtocolKind.LM05, n_rounds=2, seed=50, cm_fraction=0.0,
-            channel=ChannelSpec(0.0, 0.0, legs=2))
+            channel=ChannelSpec(0.0, 0.0))
         transcript = run_session(cfg)
         acc = eve_accuracy(transcript)
         assert acc.coverage is None and acc.accuracy is None

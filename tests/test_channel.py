@@ -29,10 +29,6 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ChannelSpec(flip_prob=bad)
 
-    def test_legs_positive(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(legs=0)
-
     def test_link_budget_nonnegative(self):
         with pytest.raises(ValueError):
             LinkBudget(-1.0, 10.0)

@@ -41,7 +41,6 @@ _VALID = {
     ("session", "enforce_cm_threshold"): ["true", "off"],
     ("channel", "transmittance_per_leg"): ["0", "0.9", "1"],
     ("channel", "flip_prob"): ["0", "0.05", "0.5"],
-    ("channel", "legs"): ["1", "2", "3", "4"],
     ("channel", "alpha_db_per_km"): ["0", "0.2", "1e308"],
     ("channel", "distance_km"): ["0", "50", "20000"],
     ("attack", "kind"): ["none", "ir", "mitm_pp", "mitm_lm05", "mitm_mcas_x", "ancilla_ube"],
@@ -63,7 +62,6 @@ _INVALID = {
     ("session", "enforce_cm_threshold"): ["maybe"],
     ("channel", "transmittance_per_leg"): ["1.01", "-0.5", "nan"],
     ("channel", "flip_prob"): ["0.51", "-0.01", "inf"],
-    ("channel", "legs"): ["0", "-2", "2.0"],
     ("channel", "alpha_db_per_km"): ["-0.1", "inf", "nan"],
     ("channel", "distance_km"): ["-1", "inf", "nan"],
     ("attack", "kind"): ["laser"],
@@ -77,8 +75,8 @@ _INVALID = {
 _KEYS = sorted(_VALID)
 _SESSION_KEYS = [("scenario", "d_pd_cm"), ("session", "cm_fraction"),
                  ("session", "enforce_cm_threshold"), ("channel", "transmittance_per_leg"),
-                 ("channel", "flip_prob"), ("channel", "legs"), ("attack", "kind"),
-                 ("attack", "basis_policy"), ("attack", "f0"), ("attack", "f_plus")]
+                 ("channel", "flip_prob"), ("attack", "kind"), ("attack", "basis_policy"),
+                 ("attack", "f0"), ("attack", "f_plus")]
 _CURVE_KEYS = [("scenario", "n_points"), ("scenario", "d_pd_cm")]
 _MANDATORY = ("seed", "protocol", "p_grid")
 # The keys each scenario reads besides name, seed and out_dir.  The round
@@ -96,8 +94,8 @@ _OPTIONAL = {
     "sweep": _SESSION_KEYS,
 }
 # Keys whose errors may also come from a cross-field check (attack against
-# protocol, leg parity) on an otherwise valid file.
-_CROSS_FIELD = ("kind", "legs")
+# protocol) on an otherwise valid file.
+_CROSS_FIELD = ("kind",)
 _NOISE = ["", "# comment", "[bogus]", "no equals sign", "bogus = 1", "name = fig2a"]
 
 
@@ -284,12 +282,11 @@ _EXACT_COPY = (AttackKind.MITM_PING_PONG, AttackKind.MITM_LM05, AttackKind.MITM_
 @st.composite
 def session_configs(draw, protocol, kind):
     """Keyword arguments of a SessionConfig for a compatible protocol x attack
-    pair; cm_fraction 1 and odd legs for two-way protocols are invalid."""
+    pair; a cm_fraction of 1 is invalid."""
     return dict(
         protocol=protocol, n_rounds=draw(st.integers(1, 2000) | st.just(2000)),
         seed=draw(st.integers(0, 2 ** 64 - 1)), cm_fraction=draw(_in(0.0, 1.0)),
-        channel=ChannelSpec(draw(_in(0.0, 1.0)), draw(st.just(0.0) | _in(0.0, 0.5)),
-                            draw(st.sampled_from([None, None, 1, 2, 3, 4]))),
+        channel=ChannelSpec(draw(_in(0.0, 1.0)), draw(st.just(0.0) | _in(0.0, 0.5))),
         attack=AttackSpec(kind, draw(_in(0.0, 1.0)), draw(st.sampled_from(BasisPolicy)),
                           draw(_in(MIN_FIDELITY, 1.0)), draw(_in(MIN_FIDELITY, 1.0))),
         d_pd_cm=draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),

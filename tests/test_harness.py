@@ -19,7 +19,6 @@ from qkdsim.harness.cli import _FLAGS, _build_parser, main
 from qkdsim.harness.config import ConfigError, parse_config
 from qkdsim.harness.scenario import (
     _TABLE_ATTACKS,
-    _TABLE_ORDER,
     MAX_GRID_POINTS,
     Scenario,
     ScenarioResult,
@@ -160,7 +159,6 @@ class TestOneValidationPath:
         ("session", "session", "cm_fraction", "1.0"),
         ("session", "channel", "transmittance_per_leg", "1.5"),
         ("session", "channel", "flip_prob", "0.6"),
-        ("session", "channel", "legs", "3"),
         ("session", "attack", "presence", "1.1"),
         ("session", "attack", "kind", "mitm_pp"),
         ("session", "attack", "f0", "0.4"),
@@ -169,7 +167,6 @@ class TestOneValidationPath:
         ("sweep", "sweep", "n_rounds", "0"),
         ("sweep", "sweep", "p_grid", "0:2:3"),
         ("sweep", "attack", "kind", "mitm_pp"),
-        ("sweep", "channel", "legs", "3"),
         ("sweep", "scenario", "seed", "-1"),
         # Sizes that cannot run: none of these is ever started.
         ("fig2a", "scenario", "n_points", str(MAX_GRID_POINTS + 1)),
@@ -183,6 +180,16 @@ class TestOneValidationPath:
         path, lineno = config_with(tmp_path, name, section, key, value)
         with pytest.raises(ConfigError, match=f"^line {lineno}: .*{key}"):
             parse_config(path)
+        assert main(["run", path]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["session", "sweep"])
+    def test_legs_is_an_unknown_key(self, tmp_path, name):
+        """The leg count is the protocol's, not a channel key."""
+        path, lineno = config_with(tmp_path, name, "channel", "legs", "3")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"line {lineno}: unknown key 'legs' in section [channel]"
         assert main(["run", path]) == 1
         assert not (tmp_path / "out").exists()
 
@@ -431,6 +438,29 @@ class TestFlagsAreConfigEntries:
         assert capsys.readouterr().err == f"config error: {flag}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--flip", "-1e-3"),
+        ("sweep", "--flip", "0.01"),
+        ("sweep", "--trans", "0.5"),
+        ("sweep", "--cm", "0.1"),
+        ("sweep", "--round", "100"),
+        ("sweep", "--d-pd", "0.1"),
+        ("sweep", "--thr", None),
+        ("curves", "--point", "5"),
+        ("run", "--se", "3"),
+    ])
+    def test_abbreviated_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        """Flags are taken by their full names only."""
+        out = tmp_path / "out"
+        if command == "run":
+            argv = ["run", _file(tmp_path, {"scenario": {"name": "fig2a", "seed": "1"}})]
+        else:
+            argv = list(_SWEEP_ARGV if command == "sweep" else _CURVES_ARGV)
+        argv += [flag] if value is None else [flag, value]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: ")
+        assert not out.exists()
+
     def test_run_flags_replace_the_file_keys(self, tmp_path):
         path, _ = config_with(tmp_path, "session", "session", "n_rounds", "200")
         flags = {"scenario.seed": ("--seed", "9"), "scenario.out_dir": ("--out", "elsewhere")}
@@ -570,8 +600,8 @@ class TestTableScenario:
         sc = Scenario("table1", seed=3, out_dir=str(tmp_path), n_rounds=500, d_pd_cm=d_pd_cm)
         with open(run_scenario(sc).paths[0], newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == len(_TABLE_ORDER)
-        for i, (row, protocol) in enumerate(zip(rows, _TABLE_ORDER)):
+        assert len(rows) == len(_TABLE_ATTACKS)
+        for i, (row, protocol) in enumerate(zip(rows, _TABLE_ATTACKS)):
             cfg = SessionConfig(protocol=protocol, n_rounds=500, seed=child_seed(3, i),
                                 attack=_TABLE_ATTACKS[protocol], d_pd_cm=sc.cm_threshold)
             threshold, rate = abort_threshold(cfg), monitored_rate(cfg)

@@ -113,7 +113,7 @@ class TestNoiseComposition:
 class TestLoss:
     def test_loss_reduces_yield_only(self):
         cfg = make_cfg(ProtocolKind.LM05, 4000, seed=12,
-                       channel=ChannelSpec(0.7, 0.0, legs=2))
+                       channel=ChannelSpec(0.7, 0.0))
         transcript = run_session(cfg)
         assert np.array_equal(transcript.alice_key, transcript.bob_key)
         lost = int(np.count_nonzero(transcript.columns.lost))
@@ -124,8 +124,7 @@ class TestLoss:
         assert all((row[5] == "true") == (row[4] == "") for row in rows)
 
     def test_opaque_channel_aborts_no_yield(self):
-        cfg = make_cfg(ProtocolKind.LM05, 50, seed=13,
-                       channel=ChannelSpec(0.0, 0.0, legs=2))
+        cfg = make_cfg(ProtocolKind.LM05, 50, seed=13, channel=ChannelSpec(0.0, 0.0))
         transcript = run_session(cfg)
         assert transcript.aborted
         assert transcript.abort_reason == "no-yield"
@@ -276,7 +275,8 @@ class TestAbortRule:
         est = DisturbanceEstimate(n_mm=n_mm, mm_failed=mm_failed, n_cm=n_cm,
                                   cm_failed=cm_failed, key_errors=0)
         exceeded = "mm-disturbance-exceeded" if rate == "d_mm" else "cm-threshold-exceeded"
-        want = {"none": "no-control-sample", "above": exceeded, "half": exceeded}.get(sample)
+        missing = "no-message-sample" if rate == "d_mm" else "no-control-sample"
+        want = {"none": missing, "above": exceeded, "half": exceeded}.get(sample)
         assert _abort_reason(est, cfg) == (None if level is None else want)
         # Eve's leak reads the same rate: h(d) for BB84, 2 d otherwise.
         d = getattr(est, rate)
@@ -303,6 +303,14 @@ class TestAbortRule:
             transcript = run_session(make_cfg(protocol, 2000, attack=attack[protocol],
                                               d_pd_cm=0.1, enforce_cm_threshold=enforce))
             assert transcript.aborted == (_ABORT_LEVELS[protocol, enforce] is not None)
+
+
+    def test_bb84_without_a_disclosed_bit_misses_the_message_sample(self):
+        """BB84 has no control mode: a 1-round session that disclosed no
+        bit aborts for want of the message sample it is judged on."""
+        transcript = run_session(make_cfg(ProtocolKind.BB84, 1))
+        assert transcript.disturbance.n_mm == 0
+        assert transcript.aborted and transcript.abort_reason == "no-message-sample"
 
 
 class TestDeterminism:
@@ -369,7 +377,3 @@ class TestConfigValidation:
     def test_attack_protocol_compatibility(self):
         with pytest.raises(ValueError, match="does not apply"):
             make_cfg(ProtocolKind.BB84, attack=AttackSpec(AttackKind.MITM_LM05, 1.0))
-
-    def test_two_way_needs_even_legs(self):
-        with pytest.raises(ValueError, match="even leg count"):
-            make_cfg(ProtocolKind.LM05, channel=ChannelSpec(1.0, 0.0, legs=3))
