@@ -88,7 +88,7 @@ def _read_entries(path: str) -> dict:
     entries: dict[tuple[str, str], _Entry] = {}
     section = None
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # one UTF-8 byte-order mark
     # bytes.splitlines breaks lines where text-mode reading would.
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:

@@ -9,6 +9,13 @@ either basis and a channel flip toggles it within the carrier's basis.
 One numpy kernel per protocol family (one-way, LM05, ping-pong) runs all
 rounds of a session at once and returns a :class:`RoundColumns`.
 
+Each kernel also states its protocol's reading of every round: the bit
+the round should deliver (``sent``), the bit the other side read
+(``got``) and whether the two can be compared (``valid``).  The rest is
+one rule for all protocols: a received, valid message round is a key
+round, a received, valid control round is checked, and either one fails
+where ``sent != got``.
+
 Selects are XOR/AND on 0/1 uint8 columns and :func:`sift` gathers the
 keys through one index, because ``np.where`` and mask indexing branch
 per element: on 27778 random rounds (2-vCPU VM, numpy 2.4.6) ``np.where``
@@ -18,19 +25,6 @@ Leg topology: two-way rounds go sender -> [Eve] -> channel -> encoder ->
 channel -> [Eve] -> sender, one-way rounds go preparer -> [Eve] ->
 channel -> measurer.  Eve sits at the key party's doorstep, so her
 substituted carriers traverse exactly the legs a genuine one would.
-
-Mode scheduling, sifting, disturbance estimation and the abort rule
-follow the per-protocol conventions documented on the operations below.
-Per-round control-mode consistency checks:
-
-* LM05    - a control round is valid when the encoder's announced
-            measurement basis equals the preparer's basis; it fails when
-            the announced outcome differs from the prepared state.
-* pp      - the encoder measures her pair half in Z and announces; the
-            preparer measures his stored half in Z; the pair must
-            anticorrelate.
-* mcasBB84- control rounds are the diagonal-basis rounds; failure is a
-            measured outcome differing from the preparation.
 
 Message-mode disturbance is estimated on a randomly disclosed 10% sample
 of the sifted key, which is then discarded from the key.  Everything is
@@ -174,6 +168,9 @@ class RoundColumns:
       outcome; ping-pong message results are pair label bits.
     * ``eve`` - Eve engaged; ``eve_bit`` - the key bit she inferred on a
       message round, -1 where she holds none.
+    * ``sent``/``got`` - the bit the round should deliver (the key bit on
+      a message round, the expected bit on a control round) and the bit
+      the other side read; ``valid`` - the two can be compared.
     """
 
     cm: np.ndarray
@@ -187,6 +184,9 @@ class RoundColumns:
     lost: np.ndarray
     eve: np.ndarray
     eve_bit: np.ndarray
+    sent: np.ndarray
+    got: np.ndarray
+    valid: np.ndarray
     disclosed: np.ndarray
 
     def records(self, protocol: ProtocolKind) -> list[RoundRecord]:
@@ -264,70 +264,45 @@ class Transcript:
     bob_key: np.ndarray
     eve_key: np.ndarray
     disturbance: DisturbanceEstimate
-    aborted: bool
     abort_reason: str | None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     @cached_property
     def rounds(self) -> list[RoundRecord]:
         return self.columns.records(self.config.protocol)
 
 
-def _alice_bits(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
-    return cols.act_bit if protocol.is_two_way else cols.prep_bit
+def _message_rounds(cols: RoundColumns) -> np.ndarray:
+    """The received, valid message rounds: the sifted key with its disclosed sample."""
+    return cols.valid & ~(cols.cm | cols.lost)
 
 
-def _bob_bits(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
-    if protocol is ProtocolKind.LM05:
-        return cols.result ^ cols.prep_bit
-    return cols.result
-
-
-def _sift_mask(protocol: ProtocolKind, cols: RoundColumns) -> np.ndarray:
-    keep = ~cols.lost & ~cols.cm
-    if protocol is ProtocolKind.BB84:
-        return keep & (cols.bob_basis == cols.prep_basis)
-    if protocol is ProtocolKind.MCAS_BB84:
-        return keep & (cols.bob_basis == 0)
-    return keep
-
-
-def sift(protocol: ProtocolKind, cols: RoundColumns, *extra: np.ndarray) -> tuple:
-    """Distill the key pair, as uint8 bit arrays, from a session's round columns.
-
-    BB84 keeps basis-matched message rounds, the asymmetric variant
-    keeps computational-basis ones, and the two-way protocols keep every
-    non-lost message round (no basis reconciliation).  Disclosed rounds
-    are excluded.  Each column in ``extra`` is gathered at the same key
-    rounds, through the same index, and returned after the pair.
+def sift(cols: RoundColumns, *extra: np.ndarray) -> tuple:
+    """Distill the key pair, ``sent`` and ``got`` as uint8 bit arrays, at the
+    received, valid message rounds that were not disclosed.  Each column in
+    ``extra`` is gathered at the same key rounds, through the same index,
+    and returned after the pair.
     """
-    rounds = np.flatnonzero(_sift_mask(protocol, cols) & ~cols.disclosed)
-    return tuple(column[rounds] for column in
-                 (_alice_bits(protocol, cols), _bob_bits(protocol, cols), *extra))
+    rounds = np.flatnonzero(_message_rounds(cols) & ~cols.disclosed)
+    return tuple(column[rounds] for column in (cols.sent, cols.got, *extra))
 
 
-def _cm_check(protocol: ProtocolKind, cols: RoundColumns) -> tuple[np.ndarray, np.ndarray]:
-    """(valid, failed) masks of the control-mode checks."""
-    live = cols.cm & ~cols.lost
-    if protocol is ProtocolKind.LM05:
-        return live & (cols.act_basis == cols.prep_basis), cols.act_bit != cols.prep_bit
-    if protocol is ProtocolKind.PING_PONG:
-        return live, cols.result == cols.act_bit
-    if protocol is ProtocolKind.MCAS_BB84:
-        return live & (cols.bob_basis == 1), cols.result != cols.prep_bit
-    return np.zeros_like(live), np.zeros_like(live)
-
-
-def estimate_disturbance(protocol: ProtocolKind, cols: RoundColumns,
-                         alice_key: np.ndarray, bob_key: np.ndarray) -> DisturbanceEstimate:
-    """Failure counts of the disclosed message sample, the control checks
-    and the sifted key pair."""
-    sample = cols.disclosed & ~cols.lost
-    valid, failed = _cm_check(protocol, cols)
+def estimate_disturbance(cols: RoundColumns, alice_key: np.ndarray,
+                         bob_key: np.ndarray) -> DisturbanceEstimate:
+    """Failure counts of the disclosed message sample, the received, valid
+    control rounds and the sifted key pair; a round fails where ``sent != got``."""
+    received = ~cols.lost
+    sample = cols.disclosed & received
+    checked = cols.valid & cols.cm & received
+    failed = cols.sent != cols.got
     return DisturbanceEstimate(
         int(np.count_nonzero(sample)),
-        int(np.count_nonzero(sample & (_alice_bits(protocol, cols) != _bob_bits(protocol, cols)))),
-        int(np.count_nonzero(valid)),
-        int(np.count_nonzero(valid & failed)),
+        int(np.count_nonzero(sample & failed)),
+        int(np.count_nonzero(checked)),
+        int(np.count_nonzero(checked & failed)),
         int(np.count_nonzero(alice_key != bob_key)))
 
 
@@ -505,6 +480,13 @@ def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit):
 
 
 def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
+    """BB84 and mcasBB84: a round delivers the prepared bit and compares
+    where the receiver measured in the preparation basis.
+
+    mcasBB84's control rounds are its diagonal-basis rounds, so its key
+    is read in Z and its control check is an X outcome differing from
+    the preparation.
+    """
     n = draws.n
     if cfg.protocol is ProtocolKind.BB84:
         cm = np.zeros(n, dtype=bool)
@@ -521,10 +503,16 @@ def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     result = _measure(draws, bob_basis, basis, bit ^ flip)
     zeros = np.zeros(n, dtype=np.uint8)
     return RoundColumns(cm, prep_basis, prep_bit, np.zeros(n, dtype=bool), zeros, zeros,
-                        bob_basis, result, ~alive, eve, eve_bit, np.zeros(n, dtype=bool))
+                        bob_basis, result, ~alive, eve, eve_bit, prep_bit, result,
+                        bob_basis == prep_basis, np.zeros(n, dtype=bool))
 
 
 def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
+    """LM05: a message round delivers the encoding, which the preparer reads
+    as his outcome XOR his prepared bit.  A control round is valid when
+    the encoder's announced basis equals the preparer's, and fails when
+    the announced outcome differs from the prepared bit.
+    """
     n = draws.n
     half = legs_for(cfg.protocol) // 2  # legs each way
     prep_basis, prep_bit = draws.bits(), draws.bits()
@@ -559,11 +547,18 @@ def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     result = _measure(draws, prep_basis, basis, bit)
     return RoundColumns(cm, prep_basis, prep_bit, alive_fwd, cm_basis,
                         _select(cm, cm_bit, encoding), np.zeros(n, dtype=np.uint8), result,
-                        ~(alive_fwd & alive_bwd), eve, eve_bit, np.zeros(n, dtype=bool))
+                        ~(alive_fwd & alive_bwd), eve, eve_bit,
+                        _select(cm, prep_bit, encoding), _select(cm, cm_bit, result ^ prep_bit),
+                        ~cm | (cm_basis == prep_basis), np.zeros(n, dtype=bool))
 
 
 def _pp_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     """Ping-pong over pair label bits.
+
+    A message round delivers the encoding as the pair label.  In a
+    control round the encoder measures her received photon in Z and
+    announces; the preparer measures his stored pair half in Z, and the
+    round fails unless the pair anticorrelates.  Every round is valid.
 
     The copy attack needs no columns of its own: the decoy is a fresh
     source pair, so the label Eve reads off it on the way back is the
@@ -578,16 +573,15 @@ def _pp_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     encoding = draws.bits()
     alive_bwd, flip_bwd = _traverse(draws, cfg.channel, half)
     label = encoding ^ flip_fwd ^ flip_bwd
-    # Control mode: the encoder measures her received photon in Z and
-    # announces; the preparer measures his stored pair half in Z.  A
-    # genuine pair anticorrelates (either label); with a decoy in the
-    # line the two halves belong to different pairs and are independent.
+    # A genuine pair anticorrelates in Z (either label); with a decoy in
+    # the line the two halves belong to different pairs and are independent.
     alice_bit = draws.bits()
     bob_bit = _select(eve, draws.bits(), alice_bit ^ 1)
+    act_bit, result = _select(cm, alice_bit, encoding), _select(cm, bob_bit, label)
     zeros = np.zeros(n, dtype=np.uint8)
-    return RoundColumns(cm, zeros, zeros, alive_fwd, zeros, _select(cm, alice_bit, encoding),
-                        zeros, _select(cm, bob_bit, label), ~alive_fwd | (~cm & ~alive_bwd),
-                        eve, _eve_bit(eve & ~cm, label), np.zeros(n, dtype=bool))
+    return RoundColumns(cm, zeros, zeros, alive_fwd, zeros, act_bit, zeros, result,
+                        ~alive_fwd | (~cm & ~alive_bwd), eve, _eve_bit(eve & ~cm, label),
+                        act_bit, result ^ cm, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
 
 
 _KERNELS = {
@@ -609,12 +603,12 @@ def run_session(cfg: SessionConfig) -> Transcript:
     cols = _KERNELS[cfg.protocol](cfg, draws)
     # Disclose a sample of the sifted bits for the message-mode estimate;
     # disclosed rounds are dropped from the key.
-    cols.disclosed = _sift_mask(cfg.protocol, cols) & draws.bernoulli(DISCLOSE_FRACTION)
+    cols.disclosed = _message_rounds(cols) & draws.bernoulli(DISCLOSE_FRACTION)
 
-    alice_key, bob_key, eve_key = sift(cfg.protocol, cols, cols.eve_bit)
-    est = estimate_disturbance(cfg.protocol, cols, alice_key, bob_key)
+    alice_key, bob_key, eve_key = sift(cols, cols.eve_bit)
+    est = estimate_disturbance(cols, alice_key, bob_key)
     reason = "no-yield" if cols.lost.all() else _abort_reason(est, cfg)
-    return Transcript(cfg, cols, alice_key, bob_key, eve_key, est, reason is not None, reason)
+    return Transcript(cfg, cols, alice_key, bob_key, eve_key, est, reason)
 
 
 # ---------------------------------------------------------------- transcript CSV

@@ -80,8 +80,9 @@ def render_rows(rounds) -> str:
     return buf.getvalue()
 
 
-FLAG_COLUMNS = ("cm", "acted", "lost", "eve", "disclosed")
-BIT_COLUMNS = ("prep_basis", "prep_bit", "act_basis", "act_bit", "bob_basis", "result")
+FLAG_COLUMNS = ("cm", "acted", "lost", "eve", "valid", "disclosed")
+BIT_COLUMNS = ("prep_basis", "prep_bit", "act_basis", "act_bit", "bob_basis", "result",
+               "sent", "got")
 
 
 @pytest.mark.parametrize("protocol,attack_kind", PAIRS,
@@ -167,9 +168,9 @@ def test_csv_of_session_without_yield(protocol, attack_kind):
 def test_empty_round_list():
     cols = lossy_noisy_session(ProtocolKind.LM05, AttackKind.NO_ATTACK).columns
     empty = RoundColumns(**{f.name: getattr(cols, f.name)[:0] for f in fields(cols)})
-    alice, bob = sift(ProtocolKind.LM05, empty)
+    alice, bob = sift(empty)
     assert len(alice) == len(bob) == 0
-    est = estimate_disturbance(ProtocolKind.LM05, empty, alice, bob)
+    est = estimate_disturbance(empty, alice, bob)
     assert est.d_mm is None and est.d_cm is None and est.n_mm == est.n_cm == 0
     assert est.key_errors == 0
 

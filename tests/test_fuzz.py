@@ -21,7 +21,7 @@ from qkdsim.channel import ChannelSpec
 from qkdsim.harness.cli import _FLAGS, main
 from qkdsim.harness.config import ConfigError, parse_config
 from qkdsim.kinds import ProtocolKind
-from qkdsim.protocol import _COMPATIBLE_ATTACKS, SessionConfig, _sift_mask, run_session
+from qkdsim.protocol import _COMPATIBLE_ATTACKS, SessionConfig, run_session
 
 
 def _fuzz(max_examples):
@@ -293,6 +293,18 @@ def session_configs(draw, protocol, kind):
         enforce_cm_threshold=draw(st.booleans()))
 
 
+def _sift_rule(protocol, cols):
+    """The received message rounds that key: BB84 on matching bases, the
+    asymmetric variant on the computational basis, the two-way protocols
+    on every one."""
+    keep = ~cols.lost & ~cols.cm
+    if protocol is ProtocolKind.BB84:
+        return keep & (cols.bob_basis == cols.prep_basis)
+    if protocol is ProtocolKind.MCAS_BB84:
+        return keep & (cols.bob_basis == 0)
+    return keep
+
+
 def _rate_ok(value) -> bool:
     """None for an empty sample (never NaN), else a rate in [0, 1]."""
     return value is None or 0.0 <= value <= 1.0
@@ -315,7 +327,7 @@ def test_session_invariants(protocol, kind, data):
     if transcript.abort_reason == "no-yield":
         assert cols.lost.all() and not len(alice)
         return
-    sifted = _sift_mask(cfg.protocol, cols)
+    sifted = _sift_rule(cfg.protocol, cols)
     assert not (cols.disclosed & ~sifted).any()
     key_rounds = np.flatnonzero(sifted & ~cols.disclosed)
     assert len(key_rounds) == len(alice)

@@ -98,6 +98,16 @@ class TestConfigParsing:
         assert sc.session.attack.kind is AttackKind.MITM_LM05
         assert sc.session.seed == 9
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """One leading UTF-8 byte-order mark is not part of line 1; a second is."""
+        text = "[scenario]\nname = session\nseed = 9\n[session]\nprotocol = lm05\n"
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config(str(marked)) == parse_config(write_config(tmp_path, text))
+        marked.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode())
+        with pytest.raises(ConfigError, match="^line 1: expected `key = value`"):
+            parse_config(str(marked))
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = write_config(tmp_path,
                             "# a comment\n\n[scenario]\nname = fig2b\nseed = 2\n")
@@ -717,6 +727,21 @@ class TestCli:
             "[attack]", "kind = mitm_mcas_x", "presence = 1.0", "",
         ]))
         assert main(["run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("form", ["file", "flag"])
+    def test_empty_out_dir_is_rejected(self, tmp_path, monkeypatch, capsys, form):
+        """An empty out_dir would put the reports in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        if form == "file":
+            argv = ["run", _file(tmp_path, {"scenario": {"name": "fig2a", "seed": "1",
+                                                         "out_dir": ""}})]
+        else:
+            argv = ["curves", "fig2a", "--out", ""]
+        assert main(argv) == 1
+        where = "line 4" if form == "file" else "--out"
+        assert capsys.readouterr().err == (
+            f"config error: {where}: out_dir must name a directory, got ''\n")
+        assert os.listdir(tmp_path) == (["scenario.cfg"] if form == "file" else [])
 
     def test_sweep_requires_seed(self, tmp_path):
         code = main(["sweep", "--protocol", "lm05", "--attack", "mitm_lm05",

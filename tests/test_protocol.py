@@ -24,9 +24,50 @@ from qkdsim.protocol import (
     transcript_csv,
 )
 
-_FLAGS = ("cm", "acted", "lost", "eve", "disclosed")
+_FLAGS = ("cm", "acted", "lost", "eve", "valid", "disclosed")
 _PAIRS = sorted(((p, k) for k, protocols in _COMPATIBLE_ATTACKS.items() for p in protocols),
                 key=lambda pair: (pair[0].value, pair[1].value))
+_PAIR_IDS = [f"{p.value}-{k.value}" for p, k in _PAIRS]
+
+# Each protocol's reading of a round, spelled out from the raw columns:
+# (sent, got, valid) on message rounds, then on control rounds.  True
+# stands for a round that is always valid.
+_MESSAGE_READING = {
+    # BB84 keeps the rounds Bob measured in the preparation basis.
+    ProtocolKind.BB84: lambda c: (c.prep_bit, c.result, c.bob_basis == c.prep_basis),
+    # The asymmetric variant keys on the computational basis.
+    ProtocolKind.MCAS_BB84: lambda c: (c.prep_bit, c.result, c.bob_basis == 0),
+    # LM05 keeps every message round: Bob decodes outcome XOR prepared bit.
+    ProtocolKind.LM05: lambda c: (c.act_bit, c.result ^ c.prep_bit, True),
+    # Ping-pong keeps every message round: the label is the encoding.
+    ProtocolKind.PING_PONG: lambda c: (c.act_bit, c.result, True),
+}
+_CONTROL_READING = {
+    # BB84 has no control rounds.
+    ProtocolKind.BB84: None,
+    # The variant's control rounds are the diagonal ones, checked in X.
+    ProtocolKind.MCAS_BB84: lambda c: (c.prep_bit, c.result, c.bob_basis == 1),
+    # LM05 compares the announced outcome with the preparation, and only
+    # where the announced basis is the prepared one.
+    ProtocolKind.LM05: lambda c: (c.prep_bit, c.act_bit, c.act_basis == c.prep_basis),
+    # A genuine ping-pong pair anticorrelates in Z.
+    ProtocolKind.PING_PONG: lambda c: (c.act_bit, 1 - c.result, True),
+}
+
+
+def table_reading(protocol, cols):
+    """(sent, got, valid) of every round from the tables above; entries of
+    lost rounds mean nothing."""
+    n = len(cols.cm)
+    message = _MESSAGE_READING[protocol](cols)
+    control = _CONTROL_READING[protocol]
+    if control is None:
+        assert not cols.cm.any()
+        control = message
+    else:
+        control = control(cols)
+    return tuple(np.where(cols.cm, np.broadcast_to(c, n), np.broadcast_to(m, n))
+                 for m, c in zip(message, control))
 
 
 def make_cfg(protocol, n_rounds=2000, seed=7, attack=None, channel=None, **kw):
@@ -41,13 +82,14 @@ def make_cfg(protocol, n_rounds=2000, seed=7, attack=None, channel=None, **kw):
 
 
 def make_columns(n, **given):
-    """n kept message rounds with all codes 0, except the given columns.
+    """n received, valid message rounds with all codes 0, except the given columns.
 
     Basis codes are 0 for Z and 1 for X; a value broadcasts over the rounds.
     """
     cols = {f.name: np.zeros(n, dtype=bool if f.name in _FLAGS else np.uint8)
             for f in fields(RoundColumns)}
     cols["eve_bit"] = np.full(n, -1, dtype=np.int8)
+    cols["valid"][:] = True
     for name, value in given.items():
         cols[name][:] = value
     return RoundColumns(**cols)
@@ -132,27 +174,37 @@ class TestLoss:
         assert transcript.alice_key.dtype == np.uint8 and transcript.eve_key.dtype == np.int8
 
 
+class TestReading:
+    @pytest.mark.parametrize("protocol,kind", _PAIRS, ids=_PAIR_IDS)
+    def test_kernels_follow_the_table(self, protocol, kind):
+        """On a lossy, noisy line under every compatible attack, each
+        received round's sent, got and valid columns are the table's."""
+        cfg = make_cfg(protocol, 3000, seed=22, cm_fraction=0.3,
+                       channel=ChannelSpec(0.9, 0.05),
+                       attack=AttackSpec(kind, 0.6, f0=0.8, f_plus=0.7))
+        cols = run_session(cfg).columns
+        received = ~cols.lost
+        sent, got, valid = table_reading(protocol, cols)
+        for name, want in (("sent", sent), ("got", got), ("valid", valid)):
+            assert np.array_equal(getattr(cols, name)[received], want[received]), name
+        # Every basis check in the table sees rounds on both of its sides.
+        for mode, table in ((False, _MESSAGE_READING), (True, _CONTROL_READING)):
+            if table[protocol] is not None and table[protocol](cols)[2] is not True:
+                rows = received & (cols.cm == mode)
+                assert (rows & valid).any() and (rows & ~valid).any()
+
+
 class TestSift:
-    def test_lm05_keeps_all_message_rounds(self):
-        alice, bob = sift(ProtocolKind.LM05, make_columns(1000, acted=True))
-        assert len(alice) == len(bob) == 1000
-
-    def test_bb84_keeps_matching_bases(self):
-        # Preparations ZERO, ZERO, PLUS; Bob measures in Z, X, X.
-        cols = make_columns(3, prep_basis=[0, 0, 1], bob_basis=[0, 1, 1], result=[0, 1, 0])
-        alice, bob = sift(ProtocolKind.BB84, cols)
-        assert alice.tolist() == bob.tolist() == [0, 0]
-        assert alice.dtype == bob.dtype == np.uint8
-
     def test_lost_rounds_never_contribute(self):
-        alice, bob = sift(ProtocolKind.BB84, make_columns(1, lost=True))
+        alice, bob = sift(make_columns(1, lost=True))
         assert len(alice) == len(bob) == 0
 
     def test_disclosed_rounds_removed(self):
-        cols = make_columns(10, acted=True, act_bit=1, result=1)
+        cols = make_columns(10, sent=1, got=1)
         cols.disclosed[3] = True
-        alice, bob = sift(ProtocolKind.LM05, cols)
-        assert len(alice) == 9
+        alice, bob = sift(cols)
+        assert alice.tolist() == bob.tolist() == [1] * 9
+        assert alice.dtype == bob.dtype == np.uint8
 
     def test_keys_equal_length_always(self):
         for protocol in ProtocolKind:
@@ -193,45 +245,34 @@ class TestDisturbanceEstimation:
         assert transcript.disturbance.n_cm == 0
 
     def test_half_width_formula(self):
-        # Preparation ZERO, announced in Z: outcome 1 in the first 25 rounds.
-        cols = make_columns(100, cm=True, acted=True, act_bit=[1] * 25 + [0] * 75, result=1)
-        est = estimate_disturbance(ProtocolKind.LM05, cols, *sift(ProtocolKind.LM05, cols))
+        # 100 valid control rounds; the first 25 read the wrong bit.
+        cols = make_columns(100, cm=True, got=[1] * 25 + [0] * 75)
+        est = estimate_disturbance(cols, *sift(cols))
         assert (est.n_cm, est.cm_failed) == (100, 25) and est.d_cm == 0.25
         assert est.half_width_95 == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 100))
         assert DisturbanceEstimate(0, 0, 0, 0, 0).half_width_95 == 0.0
 
-    def test_lm05_mismatched_bases_discarded(self):
-        # Preparation ZERO, announcement X:0.
-        cols = make_columns(1, cm=True, acted=True, act_basis=1)
-        est = estimate_disturbance(ProtocolKind.LM05, cols, *sift(ProtocolKind.LM05, cols))
-        assert est.n_cm == 0 and est.d_cm is None
-
-    @pytest.mark.parametrize("protocol,kind", _PAIRS, ids=[f"{p.value}-{k.value}"
-                                                           for p, k in _PAIRS])
+    @pytest.mark.parametrize("protocol,kind", _PAIRS, ids=_PAIR_IDS)
     def test_counts_match_a_recount(self, protocol, kind):
-        """On a lossy, noisy line under every compatible attack, the counts
-        equal a recount from the columns and keys, and the rates and the
-        half-width follow from them."""
+        """On a lossy, noisy line under every compatible attack, the keys and
+        the counts equal a recount from the raw columns through the reading
+        table, and the rates and the half-width follow from them."""
         cfg = make_cfg(protocol, 3000, seed=22, cm_fraction=0.3,
                        channel=ChannelSpec(0.9, 0.05),
                        attack=AttackSpec(kind, 0.6, f0=0.8, f_plus=0.7))
         transcript = run_session(cfg)
         cols, est = transcript.columns, transcript.disturbance
-        alice = cols.act_bit if protocol.is_two_way else cols.prep_bit
-        bob = cols.result ^ cols.prep_bit if protocol is ProtocolKind.LM05 else cols.result
-        live_cm = cols.cm & ~cols.lost
-        valid, failed = {
-            ProtocolKind.BB84: (np.zeros_like(live_cm), live_cm),
-            ProtocolKind.MCAS_BB84: (live_cm & (cols.bob_basis == 1),
-                                     cols.result != cols.prep_bit),
-            ProtocolKind.LM05: (live_cm & (cols.act_basis == cols.prep_basis),
-                                cols.act_bit != cols.prep_bit),
-            ProtocolKind.PING_PONG: (live_cm, cols.result == cols.act_bit),
-        }[protocol]
+        sent, got, valid = table_reading(protocol, cols)
+        message = ~cols.lost & ~cols.cm & valid
+        assert not (cols.disclosed & ~message).any()
+        key_rounds = message & ~cols.disclosed
+        assert np.array_equal(transcript.alice_key, sent[key_rounds])
+        assert np.array_equal(transcript.bob_key, got[key_rounds])
+        checked = ~cols.lost & cols.cm & valid
         disclosed = cols.disclosed & ~cols.lost
         assert est == DisturbanceEstimate(
-            n_mm=int(disclosed.sum()), mm_failed=int((disclosed & (alice != bob)).sum()),
-            n_cm=int(valid.sum()), cm_failed=int((valid & failed).sum()),
+            n_mm=int(disclosed.sum()), mm_failed=int((disclosed & (sent != got)).sum()),
+            n_cm=int(checked.sum()), cm_failed=int((checked & (sent != got)).sum()),
             key_errors=int((transcript.alice_key != transcript.bob_key).sum()))
         assert est.n_mm > 0 and est.key_errors > 0
         assert (est.n_cm > 0) == (protocol is not ProtocolKind.BB84)
