@@ -195,6 +195,20 @@ class TestReading:
 
 
 class TestSift:
+    def test_lm05_keeps_all_message_rounds(self):
+        """The LM05 kernel marks every received message round valid, so each
+        one ends in the key or the disclosed sample."""
+        cfg = make_cfg(ProtocolKind.LM05, 1000, seed=23, cm_fraction=0.0,
+                       channel=ChannelSpec(0.9, 0.05),
+                       attack=AttackSpec(AttackKind.MITM_LM05, 0.6))
+        transcript = run_session(cfg)
+        cols = transcript.columns
+        received = ~cols.lost
+        assert cols.valid[received].all()
+        alice, bob = sift(cols)
+        assert len(alice) == len(bob) == len(transcript.alice_key)
+        assert len(alice) + transcript.disturbance.n_mm == int(received.sum())
+
     def test_lost_rounds_never_contribute(self):
         alice, bob = sift(make_columns(1, lost=True))
         assert len(alice) == len(bob) == 0
@@ -243,6 +257,22 @@ class TestDisturbanceEstimation:
                                           cm_fraction=0.0))
         assert transcript.disturbance.d_cm is None
         assert transcript.disturbance.n_cm == 0
+
+    def test_lm05_mismatched_bases_discarded(self):
+        """An LM05 control round whose announced basis is not the prepared
+        one is invalid and never checked; the matching ones all are."""
+        cfg = make_cfg(ProtocolKind.LM05, 2000, seed=24, cm_fraction=0.5,
+                       channel=ChannelSpec(0.9, 0.05))
+        transcript = run_session(cfg)
+        cols = transcript.columns
+        control = ~cols.lost & cols.cm
+        mismatched = control & (cols.act_basis != cols.prep_basis)
+        assert mismatched.any() and not cols.valid[mismatched].any()
+        assert transcript.disturbance.n_cm == int((control & ~mismatched).sum())
+        # Preparation ZERO, announcement X:0: nothing to check.
+        cols = make_columns(1, cm=True, acted=True, act_basis=1, valid=False)
+        est = estimate_disturbance(cols, *sift(cols))
+        assert est.n_cm == 0 and est.d_cm is None
 
     def test_half_width_formula(self):
         # 100 valid control rounds; the first 25 read the wrong bit.
