@@ -62,9 +62,9 @@ class Scenario:
     (None reads ``DEFAULT_D_PD_CM``).  A ``session`` scenario runs
     ``session`` as given, and its privacy amplification is seeded from
     ``session.seed`` as well; a ``sweep`` runs it once per presence in
-    ``p_values`` (see :attr:`sweep_configs`).  Both read the threshold
-    from ``session.d_pd_cm`` and reject a ``d_pd_cm`` of their own.  A
-    ValueError names the offending field first.
+    ``p_values`` (at most ``MAX_GRID_POINTS``; see :attr:`sweep_configs`).
+    Both read the threshold from ``session.d_pd_cm`` and reject a
+    ``d_pd_cm`` of their own.  A ValueError names the offending field first.
     """
 
     name: str
@@ -98,6 +98,9 @@ class Scenario:
         if self.name == "sweep":
             if not self.p_values:
                 raise ValueError("p_values: a sweep needs at least one presence")
+            if len(self.p_values) > MAX_GRID_POINTS:
+                raise ValueError(f"p_values: a sweep takes at most {MAX_GRID_POINTS} "
+                                 f"presences, got {len(self.p_values)}")
             self.sweep_configs  # builds every grid point's session, which validates it
 
     @property

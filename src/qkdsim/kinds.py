@@ -11,10 +11,6 @@ class ProtocolKind(Enum):
     LM05 = "lm05"
     MCAS_BB84 = "mcasbb84"
 
-    @property
-    def is_two_way(self) -> bool:
-        return self in (ProtocolKind.PING_PONG, ProtocolKind.LM05)
-
     @classmethod
     def from_string(cls, text: str) -> "ProtocolKind":
         key = text.strip().lower()

@@ -35,10 +35,8 @@ deterministic given the session seed: all draws come in bulk from one
 import io
 import math
 import random
-from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property
-from typing import NamedTuple
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,18 +81,6 @@ _COMPATIBLE_ATTACKS = {
 }
 
 
-class RoundMode(Enum):
-    MESSAGE = "MM"
-    CONTROL = "CM"
-
-
-class Announcement(NamedTuple):
-    """A publicly announced control-mode measurement."""
-
-    basis: Basis
-    bit: int
-
-
 @dataclass(frozen=True, kw_only=True)
 class SessionConfig:
     """Everything one session depends on; identical configs replay identically.
@@ -126,29 +112,6 @@ class SessionConfig:
         if self.protocol not in _COMPATIBLE_ATTACKS[self.attack.kind]:
             raise ValueError(
                 f"kind {self.attack.kind.value} does not apply to {self.protocol.value}")
-
-
-@dataclass(slots=True)
-class RoundRecord:
-    """One protocol round, as an object.
-
-    ``action`` is the applied Encoding on message rounds of two-way
-    protocols, the Announcement on control rounds, and None for one-way
-    rounds (the preparation itself carries the intent) or when the
-    carrier was lost before the encoder.  ``bob_result`` is the raw
-    measured bit or Bell label; None together with ``lost`` means the
-    round produced no detection.  ``eve_touched`` is ground truth for
-    test oracles only; protocol logic never reads it.
-    """
-
-    index: int
-    mode: RoundMode
-    prep: CanonState | BellLabel
-    action: Encoding | Announcement | None
-    bob_basis: Basis | None
-    bob_result: int | BellLabel | None
-    lost: bool
-    eve_touched: bool
 
 
 @dataclass(eq=False)
@@ -189,31 +152,9 @@ class RoundColumns:
     valid: np.ndarray
     disclosed: np.ndarray
 
-    def records(self, protocol: ProtocolKind) -> list[RoundRecord]:
-        """The rounds as RoundRecord objects."""
-        two_way = protocol.is_two_way
-        pp = protocol is ProtocolKind.PING_PONG
-        columns = (self.cm, self.prep_basis, self.prep_bit, self.acted, self.act_basis,
-                   self.act_bit, self.bob_basis, self.result, self.lost, self.eve)
-        out = []
-        for idx, (cm, pb, pbit, acted, ab, abit, bb, res, lost, eve) in enumerate(
-                zip(*(c.tolist() for c in columns))):
-            if not acted:
-                action = None
-            elif cm:
-                action = Announcement(_BASES[ab], abit)
-            else:
-                action = _ENCODINGS[abit]
-            if lost:
-                bob_basis = result = None
-            else:
-                bob_basis = None if two_way else _BASES[bb]
-                result = _LABELS[res] if pp and not cm else res
-            out.append(RoundRecord(
-                idx, RoundMode.CONTROL if cm else RoundMode.MESSAGE,
-                _LABELS[0] if pp else _CANON[2 * pb + pbit], action, bob_basis, result,
-                lost, eve))
-        return out
+
+# One round of a session: its index, then its entry in every column.
+RoundRecord = namedtuple("RoundRecord", ["index"] + [f.name for f in fields(RoundColumns)])
 
 
 @dataclass(frozen=True)
@@ -254,8 +195,8 @@ class Transcript:
 
     The keys are uint8 bit arrays.  ``eve_key`` is ``columns.eve_bit`` at
     the key rounds, so it is aligned with them: int8, with -1 where Eve
-    did not engage.  ``rounds`` builds the RoundRecord view of the
-    columns on first access.
+    did not engage.  ``rounds`` transposes the columns into one
+    RoundRecord per round; the benchmark's traced run reads its ``lost``.
     """
 
     config: SessionConfig
@@ -270,9 +211,11 @@ class Transcript:
     def aborted(self) -> bool:
         return self.abort_reason is not None
 
-    @cached_property
+    @property
     def rounds(self) -> list[RoundRecord]:
-        return self.columns.records(self.config.protocol)
+        cols = self.columns
+        return list(map(RoundRecord, range(len(cols.cm)),
+                        *(getattr(cols, f.name).tolist() for f in fields(cols))))
 
 
 def _message_rounds(cols: RoundColumns) -> np.ndarray:
@@ -619,7 +562,7 @@ _HEADER = "index,mode,prep,action,result,lost,eve_touched\n"
 # 3 + 2 * basis + bit an announcement.  result: 0 none, 1 + bit a
 # measured bit, 3 + bit a pair label.
 _FIELD_TEXT = (
-    tuple(m.value for m in (RoundMode.MESSAGE, RoundMode.CONTROL)),
+    ("MM", "CM"),
     tuple(s.value for s in _CANON) + (_LABELS[0].value,),
     ("",) + tuple(e.value for e in _ENCODINGS)
     + tuple(f"{b.value}:{bit}" for b in _BASES for bit in (0, 1)),

@@ -62,10 +62,6 @@ class Encoding(Enum):
     def bit(self) -> int:
         return 0 if self is Encoding.IDENTITY else 1
 
-    @classmethod
-    def from_bit(cls, bit: int) -> "Encoding":
-        return cls.IDENTITY if bit == 0 else cls.IY
-
 
 class BellLabel(Enum):
     """Symbolic label for the two anticorrelated Bell states.

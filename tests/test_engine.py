@@ -1,12 +1,13 @@
-"""Consistency of the column engine with its RoundRecord view.
+"""Consistency of the column engine with its transcript CSV.
 
 The transcript keeps its rounds as numpy columns; ``transcript.rounds``
-renders them as RoundRecord objects.  The transcript CSV written from
-the columns must equal the one written row by row from the records, for
-every protocol and every attack that applies to it.  The engine's
-selects are bitwise arithmetic, so the columns' dtypes and 0/1 values
-are checked as well: a bool flag turned uint8 would make ``~`` give 254
-or 255.
+transposes them into one RoundRecord per round.  The transcript CSV
+written from the columns must equal the one this module renders row by
+row from each round's raw fields, with the field text and the ping-pong
+and loss rules spelled out here, for every protocol and every attack
+that applies to it.  The engine's selects are bitwise arithmetic, so the
+columns' dtypes and 0/1 values are checked as well: a bool flag turned
+uint8 would make ``~`` give 254 or 255.
 """
 
 import csv
@@ -23,6 +24,7 @@ from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import (
     _CSV_BLOCK_ROWS,
     RoundColumns,
+    RoundRecord,
     SessionConfig,
     _select,
     estimate_disturbance,
@@ -30,7 +32,6 @@ from qkdsim.protocol import (
     sift,
     transcript_csv,
 )
-from qkdsim.qstate import BellLabel, Encoding
 
 PAIRS = [
     (ProtocolKind.BB84, AttackKind.NO_ATTACK),
@@ -56,27 +57,38 @@ def lossy_noisy_session(protocol, attack_kind, seed=61):
         attack=AttackSpec(attack_kind, 0.6, f0=0.9, f_plus=0.7)))
 
 
-def render_rows(rounds) -> str:
-    """The transcript CSV written one RoundRecord at a time."""
+# Field text, by column code: basis 0 is Z and 1 is X, a canonical state is
+# 2 * basis + bit, and a pair label bit 0 is the source state.
+BASES = ("Z", "X")
+STATES = ("zero", "one", "plus", "minus")
+ENCODINGS = ("I", "iY")
+PAIR_LABELS = ("psi_minus", "psi_plus")
+FLAGS = ("false", "true")
+
+
+def render_rows(transcript) -> str:
+    """The transcript CSV written one round at a time from its raw fields."""
+    pp = transcript.config.protocol is ProtocolKind.PING_PONG
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "mode", "prep", "action", "result", "lost", "eve_touched"])
-    for rec in rounds:
-        if rec.action is None:
+    for r in transcript.rounds:
+        # A ping-pong round always starts from the source pair.
+        prep = PAIR_LABELS[0] if pp else STATES[2 * r.prep_basis + r.prep_bit]
+        if not r.acted:  # one-way, or lost before the encoder
             action = ""
-        elif isinstance(rec.action, Encoding):
-            action = rec.action.value
+        elif r.cm:
+            action = f"{BASES[r.act_basis]}:{r.act_bit}"
         else:
-            action = f"{rec.action.basis.value}:{rec.action.bit}"
-        if rec.bob_result is None:
+            action = ENCODINGS[r.act_bit]
+        if r.lost:
             result = ""
-        elif isinstance(rec.bob_result, BellLabel):
-            result = rec.bob_result.value
+        elif pp and not r.cm:
+            result = PAIR_LABELS[r.result]
         else:
-            result = str(rec.bob_result)
-        writer.writerow([rec.index, rec.mode.value, rec.prep.value, action, result,
-                         "true" if rec.lost else "false",
-                         "true" if rec.eve_touched else "false"])
+            result = str(r.result)
+        writer.writerow([r.index, "CM" if r.cm else "MM", prep, action, result,
+                         FLAGS[r.lost], FLAGS[r.eve]])
     return buf.getvalue()
 
 
@@ -92,8 +104,18 @@ class TestColumnsAgreeWithRecords:
         transcript = lossy_noisy_session(protocol, attack_kind)
         text = transcript_csv(transcript)
         # Lines, not one string: a failure then reports the first differing row.
-        assert text.splitlines() == render_rows(transcript.rounds).splitlines()
+        assert text.splitlines() == render_rows(transcript).splitlines()
         assert text.endswith("\n")
+
+    def test_rounds_transpose_the_columns(self, protocol, attack_kind):
+        transcript = lossy_noisy_session(protocol, attack_kind)
+        cols, rounds = transcript.columns, transcript.rounds
+        names = [f.name for f in fields(cols)]
+        assert RoundRecord._fields == ("index", *names)
+        assert len(rounds) == transcript.config.n_rounds
+        assert [r.index for r in rounds] == list(range(len(rounds)))
+        for name in names:
+            assert [getattr(r, name) for r in rounds] == getattr(cols, name).tolist(), name
 
     def test_column_dtypes(self, protocol, attack_kind):
         cols = lossy_noisy_session(protocol, attack_kind).columns
@@ -139,7 +161,7 @@ def long_session(request):
         protocol=protocol, n_rounds=max(EDGE_ROWS), seed=63,
         channel=ChannelSpec(0.8, 0.05),
         attack=AttackSpec(attack_kind, 0.6)))
-    return transcript, render_rows(transcript.rounds).splitlines()
+    return transcript, render_rows(transcript).splitlines()
 
 
 @pytest.mark.parametrize("n", EDGE_ROWS)
@@ -162,7 +184,7 @@ def test_csv_of_session_without_yield(protocol, attack_kind):
         channel=ChannelSpec(0.0, 0.05),
         attack=AttackSpec(attack_kind, 0.6)))
     assert transcript.abort_reason == "no-yield"
-    assert transcript_csv(transcript).splitlines() == render_rows(transcript.rounds).splitlines()
+    assert transcript_csv(transcript).splitlines() == render_rows(transcript).splitlines()
 
 
 def test_empty_round_list():

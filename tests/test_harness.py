@@ -253,6 +253,13 @@ class TestOneValidationPath:
         with pytest.raises(ValueError, match="^p_values"):
             Scenario("sweep", seed=1, session=session)
 
+    def test_sweep_grid_is_capped(self):
+        """A sweep built directly obeys the cap that parse_p_grid applies."""
+        session = SessionConfig(protocol=ProtocolKind.LM05, seed=1)
+        with pytest.raises(ValueError, match=f"^p_values: .*got {MAX_GRID_POINTS + 1}$"):
+            Scenario("sweep", seed=1, session=session,
+                     p_values=(0.5,) * (MAX_GRID_POINTS + 1))
+
     def test_session_scenarios_take_no_threshold_of_their_own(self, tmp_path):
         """session and sweep read session.d_pd_cm; a Scenario.d_pd_cm would be ignored."""
         session = SessionConfig(protocol=ProtocolKind.MCAS_BB84, seed=3, n_rounds=2000,

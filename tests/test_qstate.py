@@ -106,8 +106,6 @@ class TestEncoding:
 
     def test_bit_mapping(self):
         assert Encoding.IDENTITY.bit == 0 and Encoding.IY.bit == 1
-        assert Encoding.from_bit(0) is Encoding.IDENTITY
-        assert Encoding.from_bit(1) is Encoding.IY
 
 
 class TestBasisFlip:
