@@ -1,8 +1,7 @@
-"""Loss and noise model for each photon leg, plus path accounting.
+"""Loss and noise model for one photon leg, plus fiber link budgets.
 
-One-way protocols pay the fiber attenuation once per round, LM05 twice
-(out and back) and ping-pong four times (the travel photon's round trip
-plus the matched storage path of the retained photon).  Noise is a
+A round crosses its protocol's leg count (``PROTOCOLS`` in the protocol
+module) and pays the fiber attenuation on each leg.  Noise is a
 basis-relative bit flip per leg, which reproduces the polarization-flip
 disturbance observable directly.  Lost photons only reduce yield; they
 never flip bits.
@@ -12,22 +11,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .kinds import ProtocolKind
 from .qstate import BellLabel, CanonState
-
-_LEGS = {
-    ProtocolKind.BB84: 1,
-    ProtocolKind.MCAS_BB84: 1,
-    ProtocolKind.LM05: 2,
-    ProtocolKind.PING_PONG: 4,
-}
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """Per-leg survival probability and flip probability.
 
-    A round pays its protocol's leg count (:func:`legs_for`).
     Transmittance 0 is allowed as a degenerate opaque channel.
     """
 
@@ -58,25 +48,6 @@ class LinkBudget:
 def leg_transmittance(budget: LinkBudget) -> float:
     """Survival probability of one leg: 10^(-alpha * L / 10)."""
     return 10.0 ** (-budget.alpha_db_per_km * budget.distance_km / 10.0)
-
-
-def legs_for(protocol: ProtocolKind) -> int:
-    """Leg traversals per round: 1 for one-way, 2 for LM05, 4 for ping-pong."""
-    try:
-        return _LEGS[protocol]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown protocol kind: {protocol!r}") from None
-
-
-def path_transmittance(t_leg: float, protocol: ProtocolKind) -> float:
-    """End-to-end transmittance for one round of the given protocol.
-
-    A leg transmittance of 0 (an opaque link, or a long one whose
-    attenuation underflows) gives 0.
-    """
-    if not 0.0 <= t_leg <= 1.0:
-        raise ValueError(f"t_leg out of [0, 1]: {t_leg!r}")
-    return t_leg ** legs_for(protocol)
 
 
 def transmit(carrier: CanonState | BellLabel, spec: ChannelSpec,

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from ..adversary import AttackKind, AttackSpec, BasisPolicy
 from ..channel import ChannelSpec, LinkBudget
-from ..kinds import ProtocolKind
-from ..protocol import SessionConfig
+from ..protocol import ProtocolKind, SessionConfig
 from .scenario import Scenario, parse_p_grid
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..adversary import AttackKind, AttackSpec, BasisPolicy, eve_accuracy
-from ..channel import LinkBudget, leg_transmittance, legs_for, path_transmittance
+from ..adversary import AttackSpec, eve_accuracy
+from ..channel import LinkBudget, leg_transmittance
 from ..infotheory import (
     CURVE_LABELS,
     DEFAULT_D_PD_CM,
@@ -26,11 +26,11 @@ from ..infotheory import (
     check_d_pd_cm,
     mutual_info_ab,
 )
-from ..kinds import ProtocolKind
 from ..postproc import DEFAULT_SAFETY_BITS, NO_PRIVACY_REASON, check_bits, privacy_amplify
 from ..protocol import (
     DEFAULT_N_ROUNDS,
     MAX_N_ROUNDS,
+    PROTOCOLS,
     SessionConfig,
     abort_threshold,
     leaked_fraction,
@@ -42,14 +42,6 @@ from ..protocol import (
 # Most points of a curve grid or a presence grid.  Every point is a
 # Python float in memory and a row of the report.
 MAX_GRID_POINTS = 2 ** 20
-
-# Table1's rows in order, each under its protocol's worst-case attack.
-_TABLE_ATTACKS = {
-    ProtocolKind.BB84: AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM),
-    ProtocolKind.PING_PONG: AttackSpec(AttackKind.MITM_PING_PONG, 1.0),
-    ProtocolKind.LM05: AttackSpec(AttackKind.MITM_LM05, 1.0),
-    ProtocolKind.MCAS_BB84: AttackSpec(AttackKind.MITM_MCAS_X, 1.0),
-}
 
 
 @dataclass(frozen=True)
@@ -255,29 +247,23 @@ def _run_curve_scenario(sc: Scenario, out: Path) -> ScenarioResult:
 
 def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     t_leg = leg_transmittance(sc.link)
-    rows = []
-    for i, (protocol, attack) in enumerate(_TABLE_ATTACKS.items()):
-        # Disturbance columns come from a live session under the
-        # protocol's worst-case attack on a lossless, noiseless line;
-        # distance and transmittance columns are analytic for the
-        # configured link.
-        cfg = SessionConfig(
-            protocol=protocol,
-            n_rounds=sc.n_rounds,
-            seed=child_seed(sc.seed, i),
-            attack=attack,
-            d_pd_cm=sc.cm_threshold,
-        )
+    table = []
+    for i, (protocol, row) in enumerate(PROTOCOLS.items()):
+        # Disturbance columns come from a live session under the protocol's
+        # worst-case attack on a lossless, noiseless line; distance and
+        # transmittance columns are analytic for the configured link.
+        cfg = SessionConfig(protocol=protocol, n_rounds=sc.n_rounds, seed=child_seed(sc.seed, i),
+                            attack=row.table1_attack, d_pd_cm=sc.cm_threshold)
         transcript = run_session(cfg)
         est = transcript.disturbance
         rate, threshold = monitored_rate(cfg), abort_threshold(cfg)
-        if protocol is ProtocolKind.BB84:
+        if rate == "d_mm":
             # Clamped into the model domain like the leak; None when a
             # session is too short to disclose any bit.
             i_ab = None if est.d_mm is None else mutual_info_ab(min(est.d_mm, 0.5))
         else:
             i_ab = 1.0
-        rows.append([
+        table.append([
             protocol.value,
             "MM+CM" if rate == "d_cm" else "MM",
             est.d_mm,
@@ -286,14 +272,14 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             "undefined" if threshold is None else f"{rate} < {threshold}",
             i_ab,
             leaked_fraction(est, cfg),
-            legs_for(protocol) * sc.link.distance_km,
-            path_transmittance(t_leg, protocol),
+            row.legs * sc.link.distance_km,
+            t_leg ** row.legs,
             transcript.aborted,
         ])
     path = out / "table1.csv"
     _write_rows(path, ["protocol", "modes", "d_mm", "d_cm", "max_disturbance",
                        "secure_for", "i_ab", "i_ae", "photon_distance_km",
-                       "transmittance", "aborted"], rows)
+                       "transmittance", "aborted"], table)
     return ScenarioResult([path])
 
 

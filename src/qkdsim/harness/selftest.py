@@ -7,6 +7,7 @@ checks.  Statistical assertions use fixed seeds and 4-sigma binomial
 bounds unless a check states a tighter deterministic bound.
 """
 
+import csv
 import filecmp
 import functools
 import math
@@ -15,7 +16,6 @@ import tempfile
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,6 @@ import numpy as np
 from ..adversary import AttackKind, AttackSpec, BasisPolicy, eve_accuracy, xi_from_fidelities
 from ..channel import ChannelSpec, LinkBudget, leg_transmittance
 from ..infotheory import binary_entropy, build_curve, critical_disturbance, key_rate_rpa
-from ..kinds import ProtocolKind
 from ..postproc import (
     HashSpec,
     _toeplitz_parity,
@@ -33,8 +32,8 @@ from ..postproc import (
     random_hash_spec,
     universal_hash,
 )
-from ..protocol import SessionConfig, run_session
-from .scenario import _TABLE_ATTACKS, Scenario, run_scenario
+from ..protocol import PROTOCOLS, ProtocolKind, SessionConfig, run_session
+from .scenario import Scenario, run_scenario
 
 _SEED = 987654321
 
@@ -70,7 +69,7 @@ def _mitm_config(protocol: ProtocolKind, presence: float) -> SessionConfig:
         protocol=protocol,
         n_rounds=20000,
         seed=_SEED + int(presence * 100),
-        attack=replace(_TABLE_ATTACKS[protocol], presence=presence),
+        attack=replace(PROTOCOLS[protocol].table1_attack, presence=presence),
     )
 
 
@@ -244,22 +243,16 @@ def _check_table1() -> CheckResult:
     link = LinkBudget(0.2, 50.0)
     with tempfile.TemporaryDirectory() as tmp:
         sc = Scenario("table1", seed=_SEED, out_dir=tmp, link=link, n_rounds=4000)
-        result = run_scenario(sc)
-        lines = Path(result.paths[0]).read_text(encoding="ascii").splitlines()
-    header = lines[0].split(",")
-    col_t = header.index("transmittance")
-    col_d = header.index("photon_distance_km")
-    col_p = header.index("protocol")
+        with open(run_scenario(sc).paths[0], encoding="ascii", newline="") as fh:
+            rows = list(csv.DictReader(fh))
     t_leg = leg_transmittance(link)
-    ok = len(lines) == len(_TABLE_ATTACKS) + 1
+    ok = len(rows) == len(_PAPER_LEGS)
     seen = []
-    for line, protocol in zip(lines[1:], _TABLE_ATTACKS):
-        cells = line.split(",")
-        ok = ok and cells[col_p] == protocol.value
-        legs = _PAPER_LEGS[protocol.value]
-        ok = ok and float(cells[col_t]) == t_leg ** legs
-        ok = ok and float(cells[col_d]) == legs * link.distance_km
-        seen.append(f"{cells[col_p]}: T={cells[col_t]}, L={cells[col_d]}")
+    for row, (protocol, legs) in zip(rows, _PAPER_LEGS.items()):
+        t, distance = row["transmittance"], row["photon_distance_km"]
+        ok = ok and row["protocol"] == protocol and float(t) == t_leg ** legs
+        ok = ok and float(distance) == legs * link.distance_km
+        seen.append(f"{row['protocol']}: T={t}, L={distance}")
     return CheckResult(ok, "; ".join(seen))
 
 

@@ -12,10 +12,10 @@ The bundled curve presets are:
                linear model, truncated at the predetermined control-mode
                threshold.
 
-The linear ``fig2b`` shape is the copied-fraction model forced by the
-attack mechanics (presence p yields D_CM = p/2 and coverage p); it is
-cross-checked against Monte-Carlo coverage rather than against any
-assumed asymptotic form.  The related six-state threshold (about 0.126)
+The linear ``fig2b`` shape is the copy attack's leak (presence p yields
+D_CM = p/2 and coverage p), cross-checked against Monte-Carlo coverage.
+It is not a bound over attacks: a double-CNOT Eve copies every LM05
+message bit at D_CM = p/4.  The related six-state threshold (about 0.126)
 is noted here for reference only and is not computed.
 """
 
@@ -94,7 +94,9 @@ def eve_info_mitm(d_cm: float) -> float:
     """Eve's copied-key fraction under the copy attack, 2 * D_CM capped at 1.
 
     Control-mode disturbance D_CM = p/2 at presence p, and Eve holds
-    exactly the engaged fraction p of the key.
+    exactly the engaged fraction p of the key.  This is the copy attack's
+    leak, not a bound over attacks: a double-CNOT Eve copies every LM05
+    message bit at D_CM = p/4.
     """
     _check_disturbance(d_cm)
     return min(1.0, 2.0 * d_cm)

@@ -16,10 +16,12 @@ exact up to ``MAX_HASH_INPUT_BITS`` input bits; longer inputs are
 rejected.
 
 ``choose_output_length`` is a policy stub, not a security proof: the
-leaked fraction must be supplied externally (for the copy attack it is
-the coverage estimate 2 * D_CM).  With full leakage it returns zero,
-which is the executable form of the statement that hashing alone cannot
-erase key bits an eavesdropper already holds.
+leaked fraction must be supplied externally.  The copy attack's is its
+coverage 2 * D_CM, not a bound over attacks: a double-CNOT Eve copies
+every LM05 key bit at D_CM = p/4, so a length from 2 * D_CM does not
+hold against her.  With full leakage it returns zero, the executable
+form of the statement that hashing alone cannot erase key bits an
+eavesdropper already holds.
 """
 
 import math

@@ -37,13 +37,14 @@ import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .adversary import AttackKind, AttackSpec, BasisPolicy
-from .channel import ChannelSpec, legs_for
+from .channel import ChannelSpec
 from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm, eve_info_mitm, mutual_info_ae
-from .kinds import ProtocolKind
 from .postproc import MAX_HASH_INPUT_BITS
 from .qstate import Basis, BellLabel, CanonState, Encoding
 
@@ -69,16 +70,24 @@ _ENCODINGS = (Encoding.IDENTITY, Encoding.IY)
 # Pair label bit: 0 is the source state PSI_MINUS, 1 the toggled PSI_PLUS.
 _LABELS = (BellLabel.PSI_MINUS, BellLabel.PSI_PLUS)
 
-_COMPATIBLE_ATTACKS = {
-    AttackKind.NO_ATTACK: frozenset(ProtocolKind),
-    AttackKind.INTERCEPT_RESEND: frozenset(
-        {ProtocolKind.BB84, ProtocolKind.MCAS_BB84, ProtocolKind.LM05}),
-    AttackKind.MITM_PING_PONG: frozenset({ProtocolKind.PING_PONG}),
-    AttackKind.MITM_LM05: frozenset({ProtocolKind.LM05}),
-    AttackKind.MITM_MCAS_X: frozenset({ProtocolKind.MCAS_BB84}),
-    AttackKind.ANCILLA_UBE: frozenset(
-        {ProtocolKind.BB84, ProtocolKind.MCAS_BB84, ProtocolKind.LM05}),
-}
+
+class ProtocolKind(Enum):
+    """The four simulated protocols; :data:`PROTOCOLS` holds their facts."""
+
+    BB84 = "bb84"
+    PING_PONG = "pp"
+    LM05 = "lm05"
+    MCAS_BB84 = "mcasbb84"
+
+    @classmethod
+    def from_string(cls, text: str) -> "ProtocolKind":
+        key = text.strip().lower()
+        aliases = {"pingpong": cls.PING_PONG, "ping_pong": cls.PING_PONG,
+                   "mcas_bb84": cls.MCAS_BB84}
+        try:
+            return aliases.get(key) or cls(key)
+        except ValueError:
+            raise ValueError(f"unknown protocol kind: {text!r}") from None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -109,7 +118,7 @@ class SessionConfig:
         if not 0.0 <= self.cm_fraction < 1.0:
             raise ValueError(f"cm_fraction out of [0, 1): {self.cm_fraction!r}")
         check_d_pd_cm(self.d_pd_cm)
-        if self.protocol not in _COMPATIBLE_ATTACKS[self.attack.kind]:
+        if self.attack.kind not in PROTOCOLS[self.protocol].attacks:
             raise ValueError(
                 f"kind {self.attack.kind.value} does not apply to {self.protocol.value}")
 
@@ -249,55 +258,6 @@ def estimate_disturbance(cols: RoundColumns, alice_key: np.ndarray,
         int(np.count_nonzero(alice_key != bob_key)))
 
 
-# ---------------------------------------------------------------- security rule
-# One rule per protocol decides the abort, the table1 cells and Eve's leak.
-
-def monitored_rate(cfg: SessionConfig) -> str:
-    """The estimate a session is judged on: "d_mm" for BB84, which has no
-    control mode, "d_cm" for the others."""
-    return "d_mm" if cfg.protocol is ProtocolKind.BB84 else "d_cm"
-
-
-def abort_threshold(cfg: SessionConfig) -> float | None:
-    """The monitored rate above which a session aborts, None where undefined.
-
-    BB84 aborts above 0.11 and the asymmetric variant above its
-    predetermined d_pd_cm.  The two-way protocols define no abort level;
-    the optional threshold extension gives them d_pd_cm.
-    """
-    if cfg.protocol is ProtocolKind.BB84:
-        return BB84_ABORT_THRESHOLD
-    if cfg.protocol is ProtocolKind.MCAS_BB84 or cfg.enforce_cm_threshold:
-        return cfg.d_pd_cm
-    return None
-
-
-def leaked_fraction(est: DisturbanceEstimate, cfg: SessionConfig) -> float | None:
-    """Eve's share of the key from the monitored rate: h(d_mm) for BB84,
-    the copy model 2 d_cm otherwise, None without a sample.  The rate is
-    clamped at 0.5 first, which sampling noise can pass."""
-    name = monitored_rate(cfg)
-    rate = getattr(est, name)
-    if rate is None:
-        return None
-    return (mutual_info_ae if name == "d_mm" else eve_info_mitm)(min(rate, 0.5))
-
-
-_EXCEEDED = {"d_mm": "mm-disturbance-exceeded", "d_cm": "cm-threshold-exceeded"}
-_NO_SAMPLE = {"d_mm": "no-message-sample", "d_cm": "no-control-sample"}
-
-
-def _abort_reason(est: DisturbanceEstimate, cfg: SessionConfig) -> str | None:
-    threshold = abort_threshold(cfg)
-    if threshold is None:
-        return None
-    name = monitored_rate(cfg)
-    rate = getattr(est, name)
-    if rate is None:
-        return _NO_SAMPLE[name]
-    return _EXCEEDED[name] if rate > threshold else None
-
-
 # ---------------------------------------------------------------- kernels
 
 class _Draws:
@@ -422,7 +382,7 @@ def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit):
     return basis, bit, no_bit
 
 
-def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
+def _one_way_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumns:
     """BB84 and mcasBB84: a round delivers the prepared bit and compares
     where the receiver measured in the preparation basis.
 
@@ -441,7 +401,7 @@ def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     prep_bit = draws.bits()
     eve = _engaged(cfg.attack, draws)
     basis, bit, eve_bit = _forward_attack(cfg.attack, draws, eve, prep_basis, prep_bit)
-    alive, flip = _traverse(draws, cfg.channel, legs_for(cfg.protocol))
+    alive, flip = _traverse(draws, cfg.channel, legs)
     bob_basis = draws.bits()
     result = _measure(draws, bob_basis, basis, bit ^ flip)
     zeros = np.zeros(n, dtype=np.uint8)
@@ -450,14 +410,14 @@ def _one_way_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
                         bob_basis == prep_basis, np.zeros(n, dtype=bool))
 
 
-def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
+def _lm05_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumns:
     """LM05: a message round delivers the encoding, which the preparer reads
     as his outcome XOR his prepared bit.  A control round is valid when
     the encoder's announced basis equals the preparer's, and fails when
     the announced outcome differs from the prepared bit.
     """
     n = draws.n
-    half = legs_for(cfg.protocol) // 2  # legs each way
+    half = legs // 2  # legs each way
     prep_basis, prep_bit = draws.bits(), draws.bits()
     cm = draws.bernoulli(cfg.cm_fraction)
     attack = cfg.attack
@@ -495,7 +455,7 @@ def _lm05_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
                         ~cm | (cm_basis == prep_basis), np.zeros(n, dtype=bool))
 
 
-def _pp_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
+def _pp_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumns:
     """Ping-pong over pair label bits.
 
     A message round delivers the encoding as the pair label.  In a
@@ -509,7 +469,7 @@ def _pp_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
     stored genuine pair hands the preparer the very same label.
     """
     n = draws.n
-    half = legs_for(cfg.protocol) // 2  # legs each way
+    half = legs // 2  # legs each way
     cm = draws.bernoulli(cfg.cm_fraction)
     eve = _engaged(cfg.attack, draws)
     alive_fwd, flip_fwd = _traverse(draws, cfg.channel, half)
@@ -527,12 +487,88 @@ def _pp_kernel(cfg: SessionConfig, draws: _Draws) -> RoundColumns:
                         act_bit, result ^ cm, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
 
 
-_KERNELS = {
-    ProtocolKind.BB84: _one_way_kernel,
-    ProtocolKind.MCAS_BB84: _one_way_kernel,
-    ProtocolKind.LM05: _lm05_kernel,
-    ProtocolKind.PING_PONG: _pp_kernel,
+# ---------------------------------------------------------------- protocol table
+
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol's facts: the channel ``legs`` a round crosses, the
+    ``kernel`` that runs a session's rounds over them, the ``attacks`` a
+    session accepts, the worst-case ``table1_attack``, the ``monitored``
+    estimate ("d_mm" or "d_cm"), the ``abort_level`` of a config (None
+    where the protocol defines none) and Eve's ``leak`` at a rate."""
+
+    legs: int
+    kernel: Callable[[SessionConfig, _Draws, int], RoundColumns]
+    attacks: frozenset[AttackKind]
+    table1_attack: AttackSpec
+    monitored: str
+    abort_level: Callable[[SessionConfig], float | None]
+    leak: Callable[[float], float]
+
+
+# The attacks on a lone photon, which every single-photon protocol accepts.
+_PHOTON_ATTACKS = frozenset({AttackKind.NO_ATTACK, AttackKind.INTERCEPT_RESEND,
+                             AttackKind.ANCILLA_UBE})
+
+# In table1's row order.  Legs: one-way once, LM05 out and back, ping-pong
+# the travel photon's round trip plus the stored photon's matched delay
+# line.  BB84 has no control mode and aborts above 0.11, the asymmetric
+# variant above its predetermined d_pd_cm; the two-way protocols define
+# no abort level unless the threshold extension gives them d_pd_cm.
+PROTOCOLS = {
+    ProtocolKind.BB84: Protocol(
+        1, _one_way_kernel, _PHOTON_ATTACKS,
+        AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM),
+        "d_mm", lambda cfg: BB84_ABORT_THRESHOLD, mutual_info_ae),
+    ProtocolKind.PING_PONG: Protocol(
+        4, _pp_kernel, frozenset({AttackKind.NO_ATTACK, AttackKind.MITM_PING_PONG}),
+        AttackSpec(AttackKind.MITM_PING_PONG, 1.0),
+        "d_cm", lambda cfg: cfg.d_pd_cm if cfg.enforce_cm_threshold else None, eve_info_mitm),
+    ProtocolKind.LM05: Protocol(
+        2, _lm05_kernel, _PHOTON_ATTACKS | {AttackKind.MITM_LM05},
+        AttackSpec(AttackKind.MITM_LM05, 1.0),
+        "d_cm", lambda cfg: cfg.d_pd_cm if cfg.enforce_cm_threshold else None, eve_info_mitm),
+    ProtocolKind.MCAS_BB84: Protocol(
+        1, _one_way_kernel, _PHOTON_ATTACKS | {AttackKind.MITM_MCAS_X},
+        AttackSpec(AttackKind.MITM_MCAS_X, 1.0),
+        "d_cm", lambda cfg: cfg.d_pd_cm, eve_info_mitm),
 }
+
+
+# ---------------------------------------------------------------- security rule
+# One rule over the protocol rows decides the abort, table1's cells and Eve's leak.
+
+def monitored_rate(cfg: SessionConfig) -> str:
+    """The estimate a session is judged on, "d_mm" or "d_cm"."""
+    return PROTOCOLS[cfg.protocol].monitored
+
+
+def abort_threshold(cfg: SessionConfig) -> float | None:
+    """The monitored rate above which a session aborts, None where undefined."""
+    return PROTOCOLS[cfg.protocol].abort_level(cfg)
+
+
+def leaked_fraction(est: DisturbanceEstimate, cfg: SessionConfig) -> float | None:
+    """Eve's share of the key from the monitored rate, None without a
+    sample.  The rate is clamped at 0.5 first, which sampling noise can pass."""
+    row = PROTOCOLS[cfg.protocol]
+    rate = getattr(est, row.monitored)
+    return None if rate is None else row.leak(min(rate, 0.5))
+
+
+_EXCEEDED = {"d_mm": "mm-disturbance-exceeded", "d_cm": "cm-threshold-exceeded"}
+_NO_SAMPLE = {"d_mm": "no-message-sample", "d_cm": "no-control-sample"}
+
+
+def _abort_reason(est: DisturbanceEstimate, cfg: SessionConfig) -> str | None:
+    threshold = abort_threshold(cfg)
+    if threshold is None:
+        return None
+    name = monitored_rate(cfg)
+    rate = getattr(est, name)
+    if rate is None:
+        return _NO_SAMPLE[name]
+    return _EXCEEDED[name] if rate > threshold else None
 
 
 def run_session(cfg: SessionConfig) -> Transcript:
@@ -543,7 +579,8 @@ def run_session(cfg: SessionConfig) -> Transcript:
     "no-yield", with empty keys and no estimate.
     """
     draws = _Draws(random.Random(cfg.seed), cfg.n_rounds)
-    cols = _KERNELS[cfg.protocol](cfg, draws)
+    row = PROTOCOLS[cfg.protocol]
+    cols = row.kernel(cfg, draws, row.legs)
     # Disclose a sample of the sifted bits for the message-mode estimate;
     # disclosed rounds are dropped from the key.
     cols.disclosed = _message_rounds(cols) & draws.bernoulli(DISCLOSE_FRACTION)

@@ -20,8 +20,7 @@ from qkdsim.adversary import (
     xi_from_fidelities,
 )
 from qkdsim.channel import ChannelSpec
-from qkdsim.kinds import ProtocolKind
-from qkdsim.protocol import SessionConfig, run_session
+from qkdsim.protocol import ProtocolKind, SessionConfig, run_session
 from qkdsim.qstate import Basis, BellLabel, CanonState, Encoding, apply_encoding
 
 

@@ -1,4 +1,4 @@
-"""Tests for the leg-level loss/noise model and path accounting."""
+"""Tests for the leg-level loss/noise model and link budgets."""
 
 import math
 import random
@@ -9,12 +9,9 @@ from qkdsim.channel import (
     ChannelSpec,
     LinkBudget,
     leg_transmittance,
-    legs_for,
-    path_transmittance,
     transmit,
     transmit_bell,
 )
-from qkdsim.kinds import ProtocolKind
 from qkdsim.qstate import BellLabel, CanonState
 
 
@@ -53,31 +50,6 @@ class TestLegTransmittance:
     def test_ten_db_loss(self):
         # 0.2 dB/km over 50 km is 10 dB, i.e. a factor 10.
         assert leg_transmittance(LinkBudget(0.2, 50.0)) == pytest.approx(0.1, abs=1e-15)
-
-
-class TestPathTransmittance:
-    def test_protocol_exponents(self):
-        assert path_transmittance(0.9, ProtocolKind.PING_PONG) == pytest.approx(0.6561)
-        assert path_transmittance(0.9, ProtocolKind.LM05) == pytest.approx(0.81)
-        assert path_transmittance(0.9, ProtocolKind.BB84) == pytest.approx(0.9)
-        assert path_transmittance(0.9, ProtocolKind.MCAS_BB84) == pytest.approx(0.9)
-
-    def test_exact_powers(self):
-        for protocol in ProtocolKind:
-            assert path_transmittance(0.7, protocol) == 0.7 ** legs_for(protocol)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown protocol"):
-            path_transmittance(0.9, "not-a-protocol")
-
-    def test_range_rejected(self):
-        for t_leg in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                path_transmittance(t_leg, ProtocolKind.BB84)
-
-    def test_opaque_leg_gives_zero(self):
-        for protocol in ProtocolKind:
-            assert path_transmittance(0.0, protocol) == 0.0
 
 
 class TestTransmit:

@@ -16,9 +16,9 @@ import pytest
 
 from qkdsim.adversary import AttackKind, AttackSpec, BasisPolicy
 from qkdsim.channel import ChannelSpec
-from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import (
-    _COMPATIBLE_ATTACKS,
+    PROTOCOLS,
+    ProtocolKind,
     SessionConfig,
     _Draws,
     run_session,
@@ -177,8 +177,8 @@ STREAM_CASES = {
 
 def test_stream_cases_cover_every_compatible_pair():
     pairs = {(cfg.protocol, cfg.attack.kind) for cfg, _ in STREAM_CASES.values()}
-    assert pairs == {(protocol, kind) for kind, protocols in _COMPATIBLE_ATTACKS.items()
-                     for protocol in protocols}
+    assert pairs == {(protocol, kind) for protocol, row in PROTOCOLS.items()
+                     for kind in row.attacks}
     policies = {cfg.attack.basis_policy for cfg, _ in STREAM_CASES.values()
                 if cfg.attack.kind is AttackKind.INTERCEPT_RESEND}
     assert policies == set(BasisPolicy)

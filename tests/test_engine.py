@@ -20,9 +20,9 @@ import pytest
 
 from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec
-from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import (
     _CSV_BLOCK_ROWS,
+    ProtocolKind,
     RoundColumns,
     RoundRecord,
     SessionConfig,

@@ -20,8 +20,7 @@ from qkdsim.adversary import MIN_FIDELITY, AttackKind, AttackSpec, BasisPolicy, 
 from qkdsim.channel import ChannelSpec
 from qkdsim.harness.cli import _FLAGS, main
 from qkdsim.harness.config import ConfigError, parse_config
-from qkdsim.kinds import ProtocolKind
-from qkdsim.protocol import _COMPATIBLE_ATTACKS, SessionConfig, run_session
+from qkdsim.protocol import PROTOCOLS, ProtocolKind, SessionConfig, run_session
 
 
 def _fuzz(max_examples):
@@ -273,7 +272,7 @@ def _in(lo, hi):
                      st.floats(lo, hi))
 
 
-_PAIRS = sorted(((p, k) for k, protocols in _COMPATIBLE_ATTACKS.items() for p in protocols),
+_PAIRS = sorted(((p, k) for p, row in PROTOCOLS.items() for k in row.attacks),
                 key=lambda pair: (pair[0].value, pair[1].value))
 # Attacks whose copy of a message bit is exact on a noiseless line.
 _EXACT_COPY = (AttackKind.MITM_PING_PONG, AttackKind.MITM_LM05, AttackKind.MITM_MCAS_X)

@@ -14,11 +14,10 @@ import pytest
 
 import qkdsim
 from qkdsim.adversary import AttackKind, AttackSpec
-from qkdsim.channel import ChannelSpec, LinkBudget, leg_transmittance, legs_for, path_transmittance
+from qkdsim.channel import ChannelSpec, LinkBudget, leg_transmittance
 from qkdsim.harness.cli import _FLAGS, _build_parser, main
 from qkdsim.harness.config import ConfigError, parse_config
 from qkdsim.harness.scenario import (
-    _TABLE_ATTACKS,
     MAX_GRID_POINTS,
     Scenario,
     ScenarioResult,
@@ -28,10 +27,11 @@ from qkdsim.harness.scenario import (
     run_scenario,
 )
 from qkdsim.infotheory import DEFAULT_D_PD_CM, critical_disturbance
-from qkdsim.kinds import ProtocolKind
 from qkdsim.postproc import MAX_HASH_INPUT_BITS
 from qkdsim.protocol import (
     MAX_N_ROUNDS,
+    PROTOCOLS,
+    ProtocolKind,
     SessionConfig,
     abort_threshold,
     leaked_fraction,
@@ -584,21 +584,37 @@ class TestCurveScenarios:
         assert "xlink" not in svg  # self-contained, no external assets
 
 
+# Table1's rows with the paper's leg counts: one-way once, LM05 out and
+# back, ping-pong four times.
+_TABLE_LEGS = [("bb84", 1), ("pp", 4), ("lm05", 2), ("mcasbb84", 1)]
+
+
+def _table_rows(tmp_path, **kwargs) -> list[dict]:
+    sc = Scenario("table1", seed=3, out_dir=str(tmp_path), **kwargs)
+    with open(run_scenario(sc).paths[0], newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestTableScenario:
     def test_exact_link_columns(self, tmp_path):
         link = LinkBudget(0.2, 50.0)
-        sc = Scenario("table1", seed=3, out_dir=str(tmp_path), link=link,
-                      n_rounds=2000)
-        result = run_scenario(sc)
-        with open(result.paths[0], newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _table_rows(tmp_path, link=link, n_rounds=2000)
         t_leg = leg_transmittance(link)
-        order = [ProtocolKind.BB84, ProtocolKind.PING_PONG, ProtocolKind.LM05,
-                 ProtocolKind.MCAS_BB84]
-        assert [r["protocol"] for r in rows] == [p.value for p in order]
-        for row, protocol in zip(rows, order):
-            assert float(row["transmittance"]) == path_transmittance(t_leg, protocol)
-            assert float(row["photon_distance_km"]) == legs_for(protocol) * 50.0
+        assert [r["protocol"] for r in rows] == [name for name, _ in _TABLE_LEGS]
+        for row, (_, legs) in zip(rows, _TABLE_LEGS):
+            assert float(row["transmittance"]) == t_leg ** legs
+            assert float(row["photon_distance_km"]) == legs * 50.0
+
+    def test_underflowing_link_gives_zero_transmittance(self, tmp_path):
+        """A link long enough that one leg's transmittance underflows to 0
+        gives 0 in every row, whatever its leg count."""
+        link = LinkBudget(0.2, 2.0e4)
+        assert leg_transmittance(link) == 0.0
+        rows = _table_rows(tmp_path, link=link, n_rounds=50)
+        assert len(rows) == len(_TABLE_LEGS)
+        for row, (_, legs) in zip(rows, _TABLE_LEGS):
+            assert float(row["transmittance"]) == 0.0
+            assert float(row["photon_distance_km"]) == legs * 2.0e4
 
     def test_two_way_rows_report_no_abort(self, tmp_path):
         sc = Scenario("table1", seed=3, out_dir=str(tmp_path), n_rounds=2000)
@@ -617,10 +633,11 @@ class TestTableScenario:
         sc = Scenario("table1", seed=3, out_dir=str(tmp_path), n_rounds=500, d_pd_cm=d_pd_cm)
         with open(run_scenario(sc).paths[0], newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == len(_TABLE_ATTACKS)
-        for i, (row, protocol) in enumerate(zip(rows, _TABLE_ATTACKS)):
+        assert len(rows) == len(PROTOCOLS)
+        for i, (row, (protocol, spec)) in enumerate(zip(rows, PROTOCOLS.items())):
+            assert row["protocol"] == protocol.value
             cfg = SessionConfig(protocol=protocol, n_rounds=500, seed=child_seed(3, i),
-                                attack=_TABLE_ATTACKS[protocol], d_pd_cm=sc.cm_threshold)
+                                attack=spec.table1_attack, d_pd_cm=sc.cm_threshold)
             threshold, rate = abort_threshold(cfg), monitored_rate(cfg)
             if threshold is None:
                 assert row["max_disturbance"] == row["secure_for"] == "undefined"

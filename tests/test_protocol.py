@@ -8,10 +8,10 @@ import pytest
 
 from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec
-from qkdsim.kinds import ProtocolKind
 from qkdsim.protocol import (
-    _COMPATIBLE_ATTACKS,
+    PROTOCOLS,
     DisturbanceEstimate,
+    ProtocolKind,
     RoundColumns,
     SessionConfig,
     _abort_reason,
@@ -25,7 +25,7 @@ from qkdsim.protocol import (
 )
 
 _FLAGS = ("cm", "acted", "lost", "eve", "valid", "disclosed")
-_PAIRS = sorted(((p, k) for k, protocols in _COMPATIBLE_ATTACKS.items() for p in protocols),
+_PAIRS = sorted(((p, k) for p, row in PROTOCOLS.items() for k in row.attacks),
                 key=lambda pair: (pair[0].value, pair[1].value))
 _PAIR_IDS = [f"{p.value}-{k.value}" for p, k in _PAIRS]
 
