@@ -10,6 +10,10 @@ when they print the same digest.  The grid covers the curves, table1 at
 n_rounds 1-10 and longer, and sweeps and sessions of all 13 protocol x
 attack pairs at seeds 1-3, with the threshold extension on and off, flip
 0 and 0.02, and round counts small enough to leave samples empty.
+
+``main`` leaves ``sys.path`` as it found it, and raises ValueError if
+the process has already imported qkdsim from another tree, rather than
+digest that tree under the checkout's name.
 """
 
 import contextlib
@@ -27,8 +31,17 @@ PAIRS = {
 
 
 def main(checkout: Path, out: Path) -> str:
-    sys.path.insert(0, str(checkout / "src"))
-    from qkdsim.harness.cli import main as cli
+    src = checkout / "src"
+    saved = list(sys.path)
+    sys.path.insert(0, str(src))
+    try:
+        import qkdsim
+        from qkdsim.harness.cli import main as cli
+    finally:
+        sys.path[:] = saved
+    loaded = Path(qkdsim.__file__).resolve()
+    if not loaded.is_relative_to(src.resolve()):
+        raise ValueError(f"qkdsim is already loaded from {loaded.parent}, not from {src}")
 
     reports, configs = out / "rep", out / "cfg"
     configs.mkdir(parents=True, exist_ok=True)

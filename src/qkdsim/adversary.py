@@ -45,28 +45,11 @@ class AttackKind(Enum):
     MITM_MCAS_X = "mitm_mcas_x"
     ANCILLA_UBE = "ancilla_ube"
 
-    @classmethod
-    def from_string(cls, text: str) -> "AttackKind":
-        key = text.strip().lower()
-        aliases = {"no_attack": cls.NO_ATTACK, "ir": cls.INTERCEPT_RESEND,
-                   "mitm_pingpong": cls.MITM_PING_PONG}
-        try:
-            return aliases.get(key) or cls(key)
-        except ValueError:
-            raise ValueError(f"unknown attack kind: {text!r}") from None
-
 
 class BasisPolicy(Enum):
     FIXED_Z = "fixed_z"
     FIXED_X = "fixed_x"
     RANDOM = "random"
-
-    @classmethod
-    def from_string(cls, text: str) -> "BasisPolicy":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown basis policy: {text!r}") from None
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,18 @@ class ConfigError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _word(error: str, table: dict):
+    """A cast that maps a stripped, lower-cased word through ``table``."""
+    def cast(text: str):
+        try:
+            return table[text.strip().lower()]
+        except KeyError:
+            raise ValueError(f"{error}: {text!r}") from None
+    return cast
+
+
+def _spellings(enum, **aliases) -> dict:
+    return {member.value: member for member in enum} | aliases
 
 
 _SCHEMA = {
@@ -43,10 +48,14 @@ _SCHEMA = {
         "d_pd_cm": float,
     },
     "session": {
-        "protocol": ProtocolKind.from_string,
+        "protocol": _word("unknown protocol kind", _spellings(
+            ProtocolKind, pingpong=ProtocolKind.PING_PONG, ping_pong=ProtocolKind.PING_PONG,
+            mcas_bb84=ProtocolKind.MCAS_BB84)),
         "n_rounds": int,
         "cm_fraction": float,
-        "enforce_cm_threshold": _parse_bool,
+        "enforce_cm_threshold": _word("not a boolean", {
+            **dict.fromkeys(("true", "yes", "1", "on"), True),
+            **dict.fromkeys(("false", "no", "0", "off"), False)}),
     },
     "channel": {
         "transmittance_per_leg": float,
@@ -55,9 +64,11 @@ _SCHEMA = {
         "distance_km": float,
     },
     "attack": {
-        "kind": AttackKind.from_string,
+        "kind": _word("unknown attack kind", _spellings(
+            AttackKind, no_attack=AttackKind.NO_ATTACK, ir=AttackKind.INTERCEPT_RESEND,
+            mitm_pingpong=AttackKind.MITM_PING_PONG)),
         "presence": float,
-        "basis_policy": BasisPolicy.from_string,
+        "basis_policy": _word("unknown basis policy", _spellings(BasisPolicy)),
         "f0": float,
         "f_plus": float,
     },

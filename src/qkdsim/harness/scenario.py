@@ -74,8 +74,8 @@ class Scenario:
             raise ValueError(f"name {self.name!r} is not one of {', '.join(SCENARIO_NAMES)}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if not self.out_dir:
-            raise ValueError("out_dir must name a directory, got ''")
+        if not self.out_dir or "\0" in self.out_dir:
+            raise ValueError(f"out_dir must name a directory, got {self.out_dir!r}")
         if not 2 <= self.n_points <= MAX_GRID_POINTS:
             raise ValueError(f"n_points out of [2, {MAX_GRID_POINTS}]: {self.n_points!r}")
         if self.d_pd_cm is not None:

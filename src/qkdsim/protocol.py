@@ -46,7 +46,6 @@ from .adversary import AttackKind, AttackSpec, BasisPolicy
 from .channel import ChannelSpec
 from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm, eve_info_mitm, mutual_info_ae
 from .postproc import MAX_HASH_INPUT_BITS
-from .qstate import Basis, BellLabel, CanonState, Encoding
 
 # The per-round primitives stay attributes of this module, and adversary
 # keeps its own measure and prepare: the benchmark's traced run
@@ -64,11 +63,7 @@ MAX_N_ROUNDS = MAX_HASH_INPUT_BITS
 
 _Z95 = 1.96
 # Column codes: basis 0 is Z and 1 is X; a canonical state is 2 * basis + bit.
-_BASES = (Basis.Z, Basis.X)
-_CANON = (CanonState.ZERO, CanonState.ONE, CanonState.PLUS, CanonState.MINUS)
-_ENCODINGS = (Encoding.IDENTITY, Encoding.IY)
-# Pair label bit: 0 is the source state PSI_MINUS, 1 the toggled PSI_PLUS.
-_LABELS = (BellLabel.PSI_MINUS, BellLabel.PSI_PLUS)
+# Pair label bit: 0 is the source state psi_minus, 1 the toggled psi_plus.
 
 
 class ProtocolKind(Enum):
@@ -78,16 +73,6 @@ class ProtocolKind(Enum):
     PING_PONG = "pp"
     LM05 = "lm05"
     MCAS_BB84 = "mcasbb84"
-
-    @classmethod
-    def from_string(cls, text: str) -> "ProtocolKind":
-        key = text.strip().lower()
-        aliases = {"pingpong": cls.PING_PONG, "ping_pong": cls.PING_PONG,
-                   "mcas_bb84": cls.MCAS_BB84}
-        try:
-            return aliases.get(key) or cls(key)
-        except ValueError:
-            raise ValueError(f"unknown protocol kind: {text!r}") from None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -600,10 +585,9 @@ _HEADER = "index,mode,prep,action,result,lost,eve_touched\n"
 # measured bit, 3 + bit a pair label.
 _FIELD_TEXT = (
     ("MM", "CM"),
-    tuple(s.value for s in _CANON) + (_LABELS[0].value,),
-    ("",) + tuple(e.value for e in _ENCODINGS)
-    + tuple(f"{b.value}:{bit}" for b in _BASES for bit in (0, 1)),
-    ("", "0", "1") + tuple(label.value for label in _LABELS),
+    ("zero", "one", "plus", "minus", "psi_minus"),
+    ("", "I", "iY", "Z:0", "Z:1", "X:0", "X:1"),
+    ("", "0", "1", "psi_minus", "psi_plus"),
     ("false", "true"),
     ("false", "true"),
 )

@@ -2,7 +2,6 @@
 
 import math
 import random
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +19,7 @@ from qkdsim.adversary import (
     xi_from_fidelities,
 )
 from qkdsim.channel import ChannelSpec
+from qkdsim.harness.config import _SCHEMA, ConfigError, parse_config
 from qkdsim.protocol import ProtocolKind, SessionConfig, run_session
 from qkdsim.qstate import Basis, BellLabel, CanonState, Encoding, apply_encoding
 
@@ -106,12 +106,21 @@ class TestAttackSpec:
             AttackSpec(kind, f_plus=1.2)
 
     def test_from_string(self):
-        assert AttackKind.from_string("mitm_lm05") is AttackKind.MITM_LM05
+        parse = _SCHEMA["attack"]["kind"]
+        assert parse("mitm_lm05") is AttackKind.MITM_LM05
         with pytest.raises(ValueError):
-            AttackKind.from_string("bogus")
+            parse("bogus")
 
 
-# Every accepted spelling of a protocol or attack and the member it names.
+# The config key each spelled type is read from, and the error for a word it
+# does not know.
+_SPELLED_KEYS = {
+    ProtocolKind: ("session", "protocol", "unknown protocol kind"),
+    AttackKind: ("attack", "kind", "unknown attack kind"),
+    BasisPolicy: ("attack", "basis_policy", "unknown basis policy"),
+    bool: ("session", "enforce_cm_threshold", "not a boolean"),
+}
+# Every accepted spelling of a spelled key and the value it names.
 _SPELLINGS = [
     ("bb84", ProtocolKind.BB84), ("pp", ProtocolKind.PING_PONG),
     ("pingpong", ProtocolKind.PING_PONG), ("ping_pong", ProtocolKind.PING_PONG),
@@ -122,25 +131,38 @@ _SPELLINGS = [
     ("mitm_pp", AttackKind.MITM_PING_PONG), ("mitm_pingpong", AttackKind.MITM_PING_PONG),
     ("mitm_lm05", AttackKind.MITM_LM05), ("mitm_mcas_x", AttackKind.MITM_MCAS_X),
     ("ancilla_ube", AttackKind.ANCILLA_UBE),
+    ("fixed_z", BasisPolicy.FIXED_Z), ("fixed_x", BasisPolicy.FIXED_X),
+    ("random", BasisPolicy.RANDOM),
+    ("true", True), ("yes", True), ("1", True), ("on", True),
+    ("false", False), ("no", False), ("0", False), ("off", False),
 ]
 
 
 class TestSpellings:
+    """Every spelled key reads its words through the config layer's one rule."""
+
     def test_every_value_is_a_spelling(self):
-        assert {(m.value, m) for m in (*ProtocolKind, *AttackKind)} <= set(_SPELLINGS)
-        assert len(_SPELLINGS) == 16
+        members = (*ProtocolKind, *AttackKind, *BasisPolicy)
+        assert {(m.value, m) for m in members} <= set(_SPELLINGS)
+        assert {type(value) for _, value in _SPELLINGS} == set(_SPELLED_KEYS)
+        assert len(_SPELLINGS) == 27
 
     @pytest.mark.parametrize("text, member", _SPELLINGS, ids=[t for t, _ in _SPELLINGS])
     def test_spelling_maps_to_its_member(self, text, member):
-        parse = type(member).from_string
+        section, key, _ = _SPELLED_KEYS[type(member)]
+        parse = _SCHEMA[section][key]
         for variant in (text, text.upper(), f"  {text}\t", f" {text.upper()} "):
             assert parse(variant) is member
 
-    @pytest.mark.parametrize("kind", [ProtocolKind, AttackKind])
-    @pytest.mark.parametrize("text", ["bogus", "", "ping-pong", "mitm", "PP_"])
-    def test_unknown_spelling_is_named(self, kind, text):
-        with pytest.raises(ValueError, match=re.escape(repr(text))):
-            kind.from_string(text)
+    @pytest.mark.parametrize("kind", list(_SPELLED_KEYS))
+    @pytest.mark.parametrize("text", ["bogus", "", "ping-pong", "mitm", "PP_", "maybe", "2"])
+    def test_unknown_spelling_is_named(self, tmp_path, kind, text):
+        section, key, error = _SPELLED_KEYS[kind]
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(str(path))
+        assert str(info.value) == f"line 2: bad value for {key!r}: {error}: {text!r}"
 
 
 class TestXiFromFidelities:

@@ -161,6 +161,7 @@ class TestOneValidationPath:
         ("fig2a", "scenario", "n_points", "1"),
         ("fig2a", "scenario", "d_pd_cm", "0.5"),
         ("fig2a", "scenario", "name", "fig9"),
+        ("fig2a", "scenario", "out_dir", "a\0b"),  # mkdir would fail with no line
         ("table1", "session", "n_rounds", "0"),
         ("table1", "channel", "alpha_db_per_km", "-1"),
         ("table1", "channel", "distance_km", "inf"),

@@ -7,8 +7,11 @@ CHANGES.md.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 from qkdsim.protocol import PROTOCOLS
 
@@ -34,3 +37,14 @@ def test_grid_covers_every_compatible_pair():
 def test_report_digest_is_pinned(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
     assert load_script().main(REPO, tmp_path) == DIGEST
+
+
+def test_other_checkout_is_refused(tmp_path):
+    """With qkdsim imported from this tree, another checkout is not digested."""
+    path = list(sys.path)
+    other = tmp_path / "other"
+    with pytest.raises(ValueError, match=re.escape(str(other / "src"))) as info:
+        load_script().main(other, tmp_path / "out")
+    assert str(REPO / "src" / "qkdsim") in str(info.value)
+    assert sys.path == path
+    assert not (tmp_path / "out").exists()
