@@ -307,7 +307,7 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     acc = eve_accuracy(transcript)
 
     transcript_path = out / "transcript.csv"
-    with open(transcript_path, "w", encoding="ascii", newline="") as fh:
+    with open(transcript_path, "wb") as fh:
         write_transcript_csv(transcript, fh)
 
     summary = [

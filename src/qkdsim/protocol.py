@@ -32,7 +32,9 @@ deterministic given the session seed: all draws come in bulk from one
 ``random.Random(seed)`` stream.
 """
 
+import functools
 import io
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -578,7 +580,7 @@ def run_session(cfg: SessionConfig) -> Transcript:
 
 # ---------------------------------------------------------------- transcript CSV
 
-_HEADER = "index,mode,prep,action,result,lost,eve_touched\n"
+_HEADER = b"index,mode,prep,action,result,lost,eve_touched\n"
 # Text of each field after the index, by field code.  prep: 2 * basis + bit,
 # or 4 for a ping-pong pair.  action: 0 none, 1 + bit an encoding,
 # 3 + 2 * basis + bit an announcement.  result: 0 none, 1 + bit a
@@ -592,7 +594,8 @@ _FIELD_TEXT = (
     ("false", "true"),
 )
 _FIELD_RADIX = tuple(len(text) for text in _FIELD_TEXT)
-_CSV_BLOCK_ROWS = 1 << 14
+_CSV_BLOCK_ROWS = 1 << 12
+_POW10 = 10 ** np.arange(1, 8)
 
 
 def _row_codes(cols: RoundColumns, pp: bool) -> np.ndarray:
@@ -607,46 +610,62 @@ def _row_codes(cols: RoundColumns, pp: bool) -> np.ndarray:
     return code
 
 
+@functools.cache
+def _csv_tables():
+    """The writer's tables, built on first use so that import does not pay ~4 ms.
+
+    Code c's text after the index, ``","`` + its fields + ``"\\n"``, is ``length[c]``
+    bytes, ``head[c]`` then ``tail[c]`` (padded); ``digits[k]`` is k in 4 ASCII digits.
+    """
+    rows = ["," + ",".join(fields) + "\n" for fields in itertools.product(*_FIELD_TEXT)]
+    length = np.array([len(row) for row in rows])
+    shortest, longest = int(length.min()), int(length.max())
+    if longest - shortest > 1 + shortest or 8 > 1 + shortest:  # not assert: -O drops it
+        raise AssertionError("a row must hold an 8-byte digit cell and a tail's spill")
+    text = np.frombuffer("".join(row.ljust(longest) for row in rows).encode("ascii"),
+                         np.uint8).reshape(len(rows), longest)
+    head = text[:, :shortest].copy().view(f"V{shortest}")[:, 0]
+    tail = text[:, shortest:].copy().view(f"V{longest - shortest}")[:, 0]
+    digits = np.frombuffer("".join(map("{:04}".format, range(10000))).encode("ascii"), "<u4")
+    return length, head, tail, digits.astype(np.uint64)
+
+
 def write_transcript_csv(transcript: Transcript, fileobj) -> None:
     """One round per line: index, mode, prep, action, result, lost, eve_touched.
 
-    The transcript is rendered from the columns one block of rows at a
-    time, with the same bytes as formatting each row on its own.  A
-    session has few distinct combinations of the fields after the index,
-    so each one present is rendered once into a row of a byte table.  A
-    block is a uint8 matrix: the index digits, then the row's table entry,
-    NUL-padded; its non-NUL bytes in row-major order are the block's text.
+    Writes ASCII bytes to a binary file, the same bytes as formatting each
+    row on its own.  Row i is the digits of i (i < 10**8) and then the text
+    of its field code, whose length a table gives, so one cumsum over a
+    block of rows places every row before any byte moves.  The block's
+    buffer is then filled by three fixed-width scatters through windows of
+    it, no two of one scatter overlapping: each tail, whose padding spills
+    into the next row's first bytes; the index, as 8 ASCII digits shifted
+    to the left; each head.  Every spill lands where a later scatter writes.
     """
+    length, head, tail, digits = _csv_tables()
     cols = transcript.columns
     n = len(cols.cm)
     code = _row_codes(cols, transcript.config.protocol is ProtocolKind.PING_PONG)
-    present = np.zeros(math.prod(_FIELD_RADIX), dtype=bool)
-    present[code] = True
-    distinct = np.flatnonzero(present)
-    slot = np.zeros(len(present), dtype=np.uint16)
-    slot[distinct] = np.arange(len(distinct))
-    tails = [",".join(text[k] for text, k in zip(_FIELD_TEXT, fields))
-             for fields in zip(*np.unravel_index(distinct, _FIELD_RADIX))]
-    digits = len(str(max(n - 1, 0)))
-    width = digits + 2 + max(map(len, tails), default=0)
-    table = np.frombuffer("".join(("\0" * digits + f",{tail}\n").ljust(width, "\0")
-                                  for tail in tails).encode("ascii"), dtype=np.uint8)
-    table = table.reshape(len(tails), width)
     fileobj.write(_HEADER)
     for start in range(0, n, _CSV_BLOCK_ROWS):
-        stop = min(start + _CSV_BLOCK_ROWS, n)
-        block = np.take(table, slot[code[start:stop]], axis=0)
-        index = np.arange(start, stop, dtype=np.uint32)
-        for col in range(digits - 1, -1, -1):
-            index, digit = np.divmod(index, 10)
-            block[:, col] = digit + ord("0")
-        for col in range(digits - 1):  # NUL where the index has fewer digits
-            block[:max(10 ** (digits - 1 - col) - start, 0), col] = 0
-        fileobj.write(block[block != 0].tobytes().decode("ascii"))
+        index = np.arange(start, min(start + _CSV_BLOCK_ROWS, n), dtype=np.uint32)
+        block = code[start:start + _CSV_BLOCK_ROWS]
+        ndigits = 1 + np.searchsorted(_POW10, index, side="right")
+        word = np.take(digits, index // 10000) | np.take(digits, index % 10000) << np.uint64(32)
+        word >>= (64 - 8 * ndigits).astype(np.uint64)
+        row_len = np.take(length, block) + ndigits
+        end = np.cumsum(row_len)
+        text_at = end - row_len + ndigits
+        buf = np.empty(end[-1] + tail.itemsize, np.uint8)
+        for cells, at in ((np.take(tail, block), text_at + head.itemsize),
+                          (word.view("V8"), text_at - ndigits), (np.take(head, block), text_at)):
+            width = cells.itemsize
+            np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))[at] = cells
+        fileobj.write(buf[:end[-1]])
 
 
 def transcript_csv(transcript: Transcript) -> str:
     """The round log as a CSV string (LF line endings)."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_transcript_csv(transcript, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode("ascii")

@@ -22,10 +22,13 @@ from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec
 from qkdsim.protocol import (
     _CSV_BLOCK_ROWS,
+    _FIELD_RADIX,
+    _FIELD_TEXT,
     ProtocolKind,
     RoundColumns,
     RoundRecord,
     SessionConfig,
+    _csv_tables,
     _select,
     estimate_disturbance,
     run_session,
@@ -148,9 +151,11 @@ FAMILIES = [
     (ProtocolKind.LM05, AttackKind.MITM_LM05),
     (ProtocolKind.PING_PONG, AttackKind.MITM_PING_PONG),
 ]
-# Where the index gains a digit, and the block boundaries of the writer.
-EDGE_ROWS = [1, 9, 10, 11, 99, 100, 101, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-             _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1]
+# Where the index gains a digit, and where the writer's first, second,
+# fourth and eighth blocks end.
+EDGE_ROWS = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001,
+             *(k * _CSV_BLOCK_ROWS + d for k in (1, 4) for d in (-1, 0, 1)),
+             2 * _CSV_BLOCK_ROWS + 1, 8 * _CSV_BLOCK_ROWS + 1]
 
 
 @pytest.fixture(scope="module", params=FAMILIES, ids=[p.value for p, _ in FAMILIES])
@@ -174,6 +179,25 @@ def test_csv_at_digit_and_block_edges(long_session, n):
     text = transcript_csv(head)
     # Lines, not one string: a failure then reports the first differing row.
     assert text.splitlines() == lines[:n + 1] and text.endswith("\n")
+
+
+def test_csv_tables():
+    """Each field code's table row is its text after the index, and the row
+    lengths allow the writer's placement: a row of at least 1 + shortest
+    bytes holds an 8-byte digit cell and the previous tail's spill."""
+    length, head, tail, digits = _csv_tables()
+    assert len(length) == len(head) == len(tail) == math.prod(_FIELD_RADIX) == 1400
+    for code in range(len(length)):
+        ks = np.unravel_index(code, _FIELD_RADIX)
+        text = ("," + ",".join(t[k] for t, k in zip(_FIELD_TEXT, ks)) + "\n").encode("ascii")
+        assert length[code] == len(text), code
+        assert (head[code].tobytes() + tail[code].tobytes())[:len(text)] == text, code
+    shortest, longest = length.min(), length.max()
+    assert head.itemsize == shortest and head.itemsize + tail.itemsize == longest
+    assert tail.itemsize <= 1 + shortest and 8 <= 1 + shortest
+    assert digits.dtype == np.uint64 and (digits >> np.uint64(32) == 0).all()
+    text = "".join(f"{k:04}" for k in range(10000)).encode("ascii")
+    assert digits.astype("<u4").tobytes() == text
 
 
 @pytest.mark.parametrize("protocol,attack_kind", FAMILIES,

@@ -37,6 +37,7 @@ from qkdsim.protocol import (
     leaked_fraction,
     monitored_rate,
     run_session,
+    transcript_csv,
 )
 
 
@@ -712,6 +713,21 @@ class TestSessionScenario:
         second = run_scenario(self._scenario(tmp_path / "b"))
         for p1, p2 in zip(first.paths, second.paths):
             assert filecmp.cmp(p1, p2, shallow=False)
+
+    @pytest.mark.parametrize("protocol,attack_kind", [
+        (ProtocolKind.BB84, AttackKind.INTERCEPT_RESEND),
+        (ProtocolKind.LM05, AttackKind.MITM_LM05),
+        (ProtocolKind.PING_PONG, AttackKind.MITM_PING_PONG),
+    ], ids=["bb84", "lm05", "pp"])
+    def test_transcript_file_is_transcript_csv(self, tmp_path, protocol, attack_kind):
+        """The scenario writes transcript.csv in binary mode, one kernel family each."""
+        session = SessionConfig(protocol=protocol, n_rounds=5000, seed=11,
+                                channel=ChannelSpec(0.8, 0.05),
+                                attack=AttackSpec(attack_kind, 0.6))
+        result = run_scenario(Scenario("session", seed=11, out_dir=str(tmp_path),
+                                       session=session))
+        expected = transcript_csv(run_session(session)).encode("ascii")
+        assert Path(result.paths[0]).read_bytes() == expected
 
 
 class TestCli:
