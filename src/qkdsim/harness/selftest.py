@@ -51,9 +51,6 @@ class Check:
     description: str
     fn: Callable[[], CheckResult]
 
-    def run(self) -> CheckResult:
-        return self.fn()
-
 
 @functools.cache
 def _session(cfg: SessionConfig) -> tuple:
@@ -73,35 +70,41 @@ def _mitm_config(protocol: ProtocolKind, presence: float) -> SessionConfig:
     )
 
 
-def _expected_ir_disturbance() -> Fraction:
-    """Sifted error rate of random-basis intercept-resend, by enumeration.
+# The four canonical states as (basis, bit), each prepared with weight 1/4;
+# kept apart from qstate so that the walker shares nothing with the engine.
+_STATES = tuple((basis, bit) for basis in "ZX" for bit in (0, 1))
 
-    Exhausts preparation state x attack basis x attack outcome x final
-    outcome in exact rational arithmetic; no simulation involved.  The
-    overlap of any eigenstate with a same-basis eigenstate is 0 or 1 and
-    with a cross-basis one is 1/2.
+
+def _born(state: tuple, basis: str, bit: int) -> Fraction:
+    """The chance that measuring ``state`` in ``basis`` reads ``bit``: 0 or 1
+    in the state's own basis, 1/2 in the other."""
+    if state[0] == basis:
+        return Fraction(int(state[1] == bit))
+    return Fraction(1, 2)
+
+
+def error_rate(resend: Callable[[tuple], list]) -> Fraction:
+    """The exact chance that a round reads other than its prepared bit.
+
+    ``resend(state)`` is the mixture, a list of (weight, state) pairs,
+    that replaces the prepared photon; it is read in the preparation's
+    basis.  No simulation is involved.
     """
-    half = Fraction(1, 2)
+    return sum(Fraction(1, 4) * weight * _born(got, basis, 1 - bit)
+               for basis, bit in _STATES for weight, got in resend((basis, bit)))
 
-    def born(prep_basis, prep_bit, meas_basis, meas_bit) -> Fraction:
-        if prep_basis == meas_basis:
-            return Fraction(1) if prep_bit == meas_bit else Fraction(0)
-        return half
 
-    err = Fraction(0)
-    total = Fraction(0)
-    for a_basis in ("Z", "X"):
-        for a_bit in (0, 1):
-            for e_basis in ("Z", "X"):
-                for e_bit in (0, 1):
-                    p_e = born(a_basis, a_bit, e_basis, e_bit)
-                    for b_bit in (0, 1):
-                        p_b = born(e_basis, e_bit, a_basis, b_bit)
-                        w = Fraction(1, 4) * half * p_e * p_b
-                        total += w
-                        if b_bit != a_bit:
-                            err += w
-    return err / total
+def intercept_resend(policy: BasisPolicy) -> Callable[[tuple], list]:
+    """Eve measures in the basis ``policy`` picks and resends what she read."""
+    bases = {BasisPolicy.FIXED_Z: "Z", BasisPolicy.FIXED_X: "X"}.get(policy, "ZX")
+    return lambda state: [(_born(state, *read) / len(bases), read)
+                          for read in _STATES if read[0] in bases]
+
+
+def decoy(state: tuple) -> list:
+    """A maximally mixed photon in place of ``state``: LM05's random decoy,
+    or ping-pong's half of Eve's fresh pair."""
+    return [(Fraction(1, 4), other) for other in _STATES]
 
 
 def _four_sigma(p: float, n: int) -> float:
@@ -160,7 +163,7 @@ def _check_cm_detection() -> CheckResult:
         for presence in (0.25, 0.5, 1.0):
             transcript, _ = _session(_mitm_config(protocol, presence))
             est = transcript.disturbance
-            expected = presence / 2.0
+            expected = presence * float(error_rate(decoy))
             bound = _four_sigma(expected, est.n_cm)
             this_ok = est.d_cm is not None and abs(est.d_cm - expected) <= bound
             if presence == 1.0:
@@ -207,7 +210,7 @@ def _check_intercept_resend_baseline() -> CheckResult:
         attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM),
     ))
     est = transcript.disturbance
-    expected = float(_expected_ir_disturbance())
+    expected = float(error_rate(intercept_resend(BasisPolicy.RANDOM)))
     bound = _four_sigma(expected, est.n_mm)
     ok = (expected == 0.25 and est.n_mm >= 10000
           and est.d_mm is not None and abs(est.d_mm - expected) <= bound)
@@ -397,23 +400,19 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_selftest(stream=None) -> int:
+def run_selftest() -> int:
     """Run every acceptance check; print one line per criterion.
 
     Returns 0 when all pass, 1 otherwise.
     """
-    import sys
-    out = stream if stream is not None else sys.stdout
     all_ok = True
     for check in CHECKS:
         try:
-            result = check.run()
+            result = check.fn()
         except Exception as exc:  # a crashed check is a failed check
             result = CheckResult(False, f"raised {type(exc).__name__}: {exc}")
         all_ok = all_ok and result.passed
         status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] criterion {check.number:2d} {check.slug}: {result.detail}",
-              file=out)
-    print("selftest: all criteria passed" if all_ok else "selftest: FAILURES present",
-          file=out)
+        print(f"[{status}] criterion {check.number:2d} {check.slug}: {result.detail}")
+    print("selftest: all criteria passed" if all_ok else "selftest: FAILURES present")
     return 0 if all_ok else 1

@@ -219,14 +219,13 @@ def _message_rounds(cols: RoundColumns) -> np.ndarray:
     return cols.valid & ~(cols.cm | cols.lost)
 
 
-def sift(cols: RoundColumns, *extra: np.ndarray) -> tuple:
-    """Distill the key pair, ``sent`` and ``got`` as uint8 bit arrays, at the
-    received, valid message rounds that were not disclosed.  Each column in
-    ``extra`` is gathered at the same key rounds, through the same index,
-    and returned after the pair.
+def sift(cols: RoundColumns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distill Alice's, Bob's and Eve's keys, ``sent``, ``got`` and
+    ``eve_bit``, through one index: the received, valid message rounds
+    that were not disclosed.
     """
     rounds = np.flatnonzero(_message_rounds(cols) & ~cols.disclosed)
-    return tuple(column[rounds] for column in (cols.sent, cols.got, *extra))
+    return cols.sent[rounds], cols.got[rounds], cols.eve_bit[rounds]
 
 
 def estimate_disturbance(cols: RoundColumns, alice_key: np.ndarray,
@@ -572,7 +571,7 @@ def run_session(cfg: SessionConfig) -> Transcript:
     # disclosed rounds are dropped from the key.
     cols.disclosed = _message_rounds(cols) & draws.bernoulli(DISCLOSE_FRACTION)
 
-    alice_key, bob_key, eve_key = sift(cols, cols.eve_bit)
+    alice_key, bob_key, eve_key = sift(cols)
     est = estimate_disturbance(cols, alice_key, bob_key)
     reason = "no-yield" if cols.lost.all() else _abort_reason(est, cfg)
     return Transcript(cfg, cols, alice_key, bob_key, eve_key, est, reason)

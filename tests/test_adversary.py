@@ -20,75 +20,18 @@ from qkdsim.adversary import (
 )
 from qkdsim.channel import ChannelSpec
 from qkdsim.harness.config import _SCHEMA, ConfigError, parse_config
+from qkdsim.harness.selftest import decoy, error_rate, intercept_resend
 from qkdsim.protocol import ProtocolKind, SessionConfig, run_session
 from qkdsim.qstate import Basis, BellLabel, CanonState, Encoding, apply_encoding
 
 
-def intercept_resend_error_oracle(policy="random"):
-    """Exact sifted error rate of intercept-resend under a basis policy.
-
-    Brute-force enumeration over preparation x attack basis x attack
-    outcome x receiver outcome in rational arithmetic.  Same-basis
-    overlaps are 0/1, cross-basis overlaps 1/2.
-    """
-    half = Fraction(1, 2)
-
-    def born(pb, pbit, mb, mbit):
-        if pb == mb:
-            return Fraction(int(pbit == mbit))
-        return half
-
-    eve_choices = {
-        "random": (("Z", half), ("X", half)),
-        "fixed_z": (("Z", Fraction(1)),),
-        "fixed_x": (("X", Fraction(1)),),
-    }[policy]
-    err, total = Fraction(0), Fraction(0)
-    for a_basis in "ZX":
-        for a_bit in (0, 1):
-            for e_basis, p_basis in eve_choices:
-                for e_bit in (0, 1):
-                    pe = born(a_basis, a_bit, e_basis, e_bit)
-                    for b_bit in (0, 1):
-                        w = Fraction(1, 4) * p_basis * pe * born(e_basis, e_bit,
-                                                                 a_basis, b_bit)
-                        total += w
-                        err += w if b_bit != a_bit else 0
-    return err / total
-
-
-def lm05_cm_failure_oracle():
-    """Detection probability of one valid LM05 control round under the
-    copy attack: enumerate decoys x announcement bases x outcomes."""
-    half = Fraction(1, 2)
-
-    def born(pb, pbit, mb, mbit):
-        if pb == mb:
-            return Fraction(int(pbit == mbit))
-        return half
-
-    fail, total = Fraction(0), Fraction(0)
-    for bob_basis in "ZX":
-        for bob_bit in (0, 1):
-            # valid rounds condition on the announced basis matching
-            alice_basis = bob_basis
-            for decoy_basis in "ZX":
-                for decoy_bit in (0, 1):
-                    for outcome in (0, 1):
-                        p = born(decoy_basis, decoy_bit, alice_basis, outcome)
-                        w = Fraction(1, 16) * p
-                        total += w
-                        fail += w if outcome != bob_bit else 0
-    return fail / total
-
-
 class TestOracles:
     def test_intercept_resend_rate_is_one_quarter(self):
-        for policy in ("random", "fixed_z", "fixed_x"):
-            assert intercept_resend_error_oracle(policy) == Fraction(1, 4)
+        for policy in BasisPolicy:
+            assert error_rate(intercept_resend(policy)) == Fraction(1, 4)
 
     def test_lm05_cm_failure_is_one_half(self):
-        assert lm05_cm_failure_oracle() == Fraction(1, 2)
+        assert error_rate(decoy) == Fraction(1, 2)
 
 
 class TestAttackSpec:
@@ -329,7 +272,7 @@ class TestMitmInvariants:
             attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, BasisPolicy.RANDOM))
         transcript = run_session(cfg)
         est = transcript.disturbance
-        expected = float(intercept_resend_error_oracle())
+        expected = float(error_rate(intercept_resend(BasisPolicy.RANDOM)))
         assert est.n_mm >= 10000
         bound = 4 * math.sqrt(expected * (1 - expected) / est.n_mm)
         assert abs(est.d_mm - expected) <= bound
@@ -342,7 +285,7 @@ class TestMitmInvariants:
             channel=ChannelSpec(),
             attack=AttackSpec(AttackKind.INTERCEPT_RESEND, 1.0, policy))
         est = run_session(cfg).disturbance
-        expected = float(intercept_resend_error_oracle(policy.value))
+        expected = float(error_rate(intercept_resend(policy)))
         bound = 4 * math.sqrt(expected * (1 - expected) / est.n_mm)
         assert abs(est.d_mm - expected) <= bound
 

@@ -214,8 +214,8 @@ def test_csv_of_session_without_yield(protocol, attack_kind):
 def test_empty_round_list():
     cols = lossy_noisy_session(ProtocolKind.LM05, AttackKind.NO_ATTACK).columns
     empty = RoundColumns(**{f.name: getattr(cols, f.name)[:0] for f in fields(cols)})
-    alice, bob = sift(empty)
-    assert len(alice) == len(bob) == 0
+    alice, bob, eve = sift(empty)
+    assert len(alice) == len(bob) == len(eve) == 0
     est = estimate_disturbance(empty, alice, bob)
     assert est.d_mm is None and est.d_cm is None and est.n_mm == est.n_cm == 0
     assert est.key_errors == 0

@@ -26,6 +26,7 @@ from qkdsim.harness.scenario import (
     parse_p_grid,
     run_scenario,
 )
+from qkdsim.harness.selftest import _PAPER_LEGS
 from qkdsim.infotheory import DEFAULT_D_PD_CM, critical_disturbance
 from qkdsim.postproc import MAX_HASH_INPUT_BITS
 from qkdsim.protocol import (
@@ -588,9 +589,6 @@ class TestCurveScenarios:
 
 # Table1's rows with the paper's leg counts: one-way once, LM05 out and
 # back, ping-pong four times.
-_TABLE_LEGS = [("bb84", 1), ("pp", 4), ("lm05", 2), ("mcasbb84", 1)]
-
-
 def _table_rows(tmp_path, **kwargs) -> list[dict]:
     sc = Scenario("table1", seed=3, out_dir=str(tmp_path), **kwargs)
     with open(run_scenario(sc).paths[0], newline="") as fh:
@@ -602,8 +600,8 @@ class TestTableScenario:
         link = LinkBudget(0.2, 50.0)
         rows = _table_rows(tmp_path, link=link, n_rounds=2000)
         t_leg = leg_transmittance(link)
-        assert [r["protocol"] for r in rows] == [name for name, _ in _TABLE_LEGS]
-        for row, (_, legs) in zip(rows, _TABLE_LEGS):
+        assert [r["protocol"] for r in rows] == list(_PAPER_LEGS)
+        for row, (_, legs) in zip(rows, _PAPER_LEGS.items()):
             assert float(row["transmittance"]) == t_leg ** legs
             assert float(row["photon_distance_km"]) == legs * 50.0
 
@@ -613,8 +611,8 @@ class TestTableScenario:
         link = LinkBudget(0.2, 2.0e4)
         assert leg_transmittance(link) == 0.0
         rows = _table_rows(tmp_path, link=link, n_rounds=50)
-        assert len(rows) == len(_TABLE_LEGS)
-        for row, (_, legs) in zip(rows, _TABLE_LEGS):
+        assert len(rows) == len(_PAPER_LEGS)
+        for row, (_, legs) in zip(rows, _PAPER_LEGS.items()):
             assert float(row["transmittance"]) == 0.0
             assert float(row["photon_distance_km"]) == legs * 2.0e4
 

@@ -8,6 +8,7 @@ import pytest
 
 from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec
+from qkdsim.harness.selftest import decoy, error_rate
 from qkdsim.protocol import (
     PROTOCOLS,
     DisturbanceEstimate,
@@ -205,19 +206,19 @@ class TestSift:
         cols = transcript.columns
         received = ~cols.lost
         assert cols.valid[received].all()
-        alice, bob = sift(cols)
-        assert len(alice) == len(bob) == len(transcript.alice_key)
+        alice, bob, eve = sift(cols)
+        assert len(alice) == len(bob) == len(eve) == len(transcript.alice_key)
         assert len(alice) + transcript.disturbance.n_mm == int(received.sum())
 
     def test_lost_rounds_never_contribute(self):
-        alice, bob = sift(make_columns(1, lost=True))
-        assert len(alice) == len(bob) == 0
+        alice, bob, eve = sift(make_columns(1, lost=True))
+        assert len(alice) == len(bob) == len(eve) == 0
 
     def test_disclosed_rounds_removed(self):
         cols = make_columns(10, sent=1, got=1)
         cols.disclosed[3] = True
-        alice, bob = sift(cols)
-        assert alice.tolist() == bob.tolist() == [1] * 9
+        alice, bob, eve = sift(cols)
+        assert alice.tolist() == bob.tolist() == [1] * 9 and eve.tolist() == [-1] * 9
         assert alice.dtype == bob.dtype == np.uint8
 
     def test_keys_equal_length_always(self):
@@ -227,6 +228,15 @@ class TestSift:
             assert len(transcript.eve_key) == len(transcript.alice_key)
 
 
+# A valid control round fails whenever the enumerated decoy reads wrong.
+_DECOY_RATE = float(error_rate(decoy))
+
+
+def _presence_id(presence):
+    """Name a copy-attack case by its presence and its target D_CM."""
+    return f"{presence}-{presence * _DECOY_RATE}"
+
+
 class TestDisturbanceEstimation:
     def test_clean_session_zero(self):
         transcript = run_session(make_cfg(ProtocolKind.LM05, 3000, seed=15))
@@ -234,21 +244,23 @@ class TestDisturbanceEstimation:
         assert est.d_mm == 0.0 and est.d_cm == 0.0
         assert est.n_cm > 0 and est.n_mm > 0
 
-    @pytest.mark.parametrize("presence,expected", [(0.25, 0.125), (0.4, 0.2), (1.0, 0.5)])
-    def test_lm05_mitm_detection_rate(self, presence, expected):
-        """Valid control rounds fail with probability exactly presence/2
-        (decoy enumeration); the estimate agrees within 4 sigma."""
+    @pytest.mark.parametrize("presence", [0.25, 0.4, 1.0], ids=_presence_id)
+    def test_lm05_mitm_detection_rate(self, presence):
+        """Valid control rounds fail with probability exactly presence times
+        the enumerated decoy rate; the estimate agrees within 4 sigma."""
         cfg = make_cfg(ProtocolKind.LM05, 20000, seed=16,
                        attack=AttackSpec(AttackKind.MITM_LM05, presence))
         est = run_session(cfg).disturbance
+        expected = presence * _DECOY_RATE
         bound = 4 * math.sqrt(expected * (1 - expected) / est.n_cm)
         assert abs(est.d_cm - expected) <= bound
 
-    @pytest.mark.parametrize("presence,expected", [(0.25, 0.125), (1.0, 0.5)])
-    def test_pp_mitm_detection_rate(self, presence, expected):
+    @pytest.mark.parametrize("presence", [0.25, 1.0], ids=_presence_id)
+    def test_pp_mitm_detection_rate(self, presence):
         cfg = make_cfg(ProtocolKind.PING_PONG, 20000, seed=16,
                        attack=AttackSpec(AttackKind.MITM_PING_PONG, presence))
         est = run_session(cfg).disturbance
+        expected = presence * _DECOY_RATE
         bound = 4 * math.sqrt(expected * (1 - expected) / est.n_cm)
         assert abs(est.d_cm - expected) <= bound
 
@@ -271,13 +283,13 @@ class TestDisturbanceEstimation:
         assert transcript.disturbance.n_cm == int((control & ~mismatched).sum())
         # Preparation ZERO, announcement X:0: nothing to check.
         cols = make_columns(1, cm=True, acted=True, act_basis=1, valid=False)
-        est = estimate_disturbance(cols, *sift(cols))
+        est = estimate_disturbance(cols, *sift(cols)[:2])
         assert est.n_cm == 0 and est.d_cm is None
 
     def test_half_width_formula(self):
         # 100 valid control rounds; the first 25 read the wrong bit.
         cols = make_columns(100, cm=True, got=[1] * 25 + [0] * 75)
-        est = estimate_disturbance(cols, *sift(cols))
+        est = estimate_disturbance(cols, *sift(cols)[:2])
         assert (est.n_cm, est.cm_failed) == (100, 25) and est.d_cm == 0.25
         assert est.half_width_95 == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 100))
         assert DisturbanceEstimate(0, 0, 0, 0, 0).half_width_95 == 0.0
