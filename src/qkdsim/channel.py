@@ -1,17 +1,15 @@
-"""Loss and noise model for one photon leg, plus fiber link budgets.
+"""Loss and noise parameters for one photon leg, plus fiber link budgets.
 
 A round crosses its protocol's leg count (``PROTOCOLS`` in the protocol
-module) and pays the fiber attenuation on each leg.  Noise is a
-basis-relative bit flip per leg, which reproduces the polarization-flip
-disturbance observable directly.  Lost photons only reduce yield; they
-never flip bits.
+module) and pays the fiber attenuation on each leg; ``protocol._traverse``
+draws a session's survival and net flip from a :class:`ChannelSpec`.
+Noise is a basis-relative bit flip per leg, which reproduces the
+polarization-flip disturbance observable directly.  Lost photons only
+reduce yield; they never flip bits.
 """
 
 import math
-import random
 from dataclasses import dataclass
-
-from .qstate import BellLabel, CanonState
 
 
 @dataclass(frozen=True)
@@ -48,22 +46,3 @@ class LinkBudget:
 def leg_transmittance(budget: LinkBudget) -> float:
     """Survival probability of one leg: 10^(-alpha * L / 10)."""
     return 10.0 ** (-budget.alpha_db_per_km * budget.distance_km / 10.0)
-
-
-def transmit(carrier: CanonState | BellLabel, spec: ChannelSpec,
-             rng: random.Random) -> CanonState | BellLabel | None:
-    """Send a photon, or a ping-pong pair's travel photon, through one leg.
-
-    Returns None when the photon is lost; otherwise the carrier, flipped
-    with probability ``flip_prob``: the other state of its basis, or the
-    other pair label.
-    """
-    if rng.random() >= spec.transmittance_per_leg:
-        return None
-    if spec.flip_prob > 0.0 and rng.random() < spec.flip_prob:
-        return carrier.flipped
-    return carrier
-
-
-# A pair crosses a leg the same way; ``transmit_bell`` names the pair form.
-transmit_bell = transmit

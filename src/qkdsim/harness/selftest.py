@@ -1,4 +1,5 @@
-"""The acceptance suite: one executable check per shipped guarantee.
+"""The acceptance suite: one executable check per shipped guarantee,
+whose docstring states the criterion.
 
 Each check returns a result instead of asserting, so the same registry
 backs both the `qkdsim selftest` CLI command and the pytest acceptance
@@ -48,7 +49,6 @@ class CheckResult:
 class Check:
     number: int
     slug: str
-    description: str
     fn: Callable[[], CheckResult]
 
 
@@ -71,7 +71,7 @@ def _mitm_config(protocol: ProtocolKind, presence: float) -> SessionConfig:
 
 
 # The four canonical states as (basis, bit), each prepared with weight 1/4;
-# kept apart from qstate so that the walker shares nothing with the engine.
+# kept apart from the engine's columns so that the walker shares nothing with it.
 _STATES = tuple((basis, bit) for basis in "ZX" for bit in (0, 1))
 
 
@@ -112,6 +112,7 @@ def _four_sigma(p: float, n: int) -> float:
 
 
 def _check_critical_disturbance() -> CheckResult:
+    """The bisection threshold lands on 0.11 with h(D*) = 1/2, under 1 ms."""
     best = math.inf
     for _ in range(5):
         start = time.perf_counter()
@@ -124,6 +125,7 @@ def _check_critical_disturbance() -> CheckResult:
 
 
 def _check_mutual_info_identity() -> CheckResult:
+    """I_AB + I_AE = 1 over the grid, and the curves cross at the threshold."""
     curve = build_curve("fig2a")
     worst = max(abs(ab + ae - 1.0) for ab, ae in zip(curve.i_ab, curve.i_ae))
     cross = None
@@ -141,6 +143,7 @@ def _check_mutual_info_identity() -> CheckResult:
 
 
 def _check_mitm_mm_undetectable() -> CheckResult:
+    """The copy attacks flip zero message bits at p in {0.25, 0.5, 1.0}."""
     details = []
     ok = True
     for protocol in (ProtocolKind.PING_PONG, ProtocolKind.LM05):
@@ -157,6 +160,7 @@ def _check_mitm_mm_undetectable() -> CheckResult:
 
 
 def _check_cm_detection() -> CheckResult:
+    """Control-mode disturbance equals presence * error_rate(decoy) within 4 sigma."""
     details = []
     ok = True
     for protocol in (ProtocolKind.PING_PONG, ProtocolKind.LM05):
@@ -176,6 +180,7 @@ def _check_cm_detection() -> CheckResult:
 
 
 def _check_eve_key_copy() -> CheckResult:
+    """Eve's raw key matches Alice's on every engaged round."""
     details = []
     ok = True
     for protocol in (ProtocolKind.PING_PONG, ProtocolKind.LM05):
@@ -194,6 +199,7 @@ def _check_eve_key_copy() -> CheckResult:
 
 
 def _check_key_rate_cases() -> CheckResult:
+    """r_PA is exactly 1, 0, 0 for the three fidelity patterns."""
     cases = (((1.0, 1.0), 1.0), ((1.0, 0.5), 0.0), ((0.5, 1.0), 0.0))
     results = [key_rate_rpa(xi_from_fidelities(f0, fp)) for (f0, fp), _ in cases]
     ok = all(r == want for r, (_, want) in zip(results, cases))
@@ -201,6 +207,7 @@ def _check_key_rate_cases() -> CheckResult:
 
 
 def _check_intercept_resend_baseline() -> CheckResult:
+    """Random-basis intercept-resend shows the enumerated 0.25 error rate."""
     transcript, _ = _session(SessionConfig(
         protocol=ProtocolKind.BB84,
         # 1.2e4 disclosed bits expected, so the >= 1e4 sample-size
@@ -219,6 +226,7 @@ def _check_intercept_resend_baseline() -> CheckResult:
 
 
 def _check_mcas_threshold() -> CheckResult:
+    """The predetermined control threshold aborts exactly when exceeded."""
     hot, cold = (_session(SessionConfig(
         protocol=ProtocolKind.MCAS_BB84,
         n_rounds=20000,
@@ -243,6 +251,7 @@ _PAPER_LEGS = {"bb84": 1, "pp": 4, "lm05": 2, "mcasbb84": 1}
 
 
 def _check_table1() -> CheckResult:
+    """The distance and transmittance columns follow the leg counts exactly."""
     link = LinkBudget(0.2, 50.0)
     with tempfile.TemporaryDirectory() as tmp:
         sc = Scenario("table1", seed=_SEED, out_dir=tmp, link=link, n_rounds=4000)
@@ -260,6 +269,7 @@ def _check_table1() -> CheckResult:
 
 
 def _check_pa_futility() -> CheckResult:
+    """With a full copy, hashing returns Eve the same secret key; full leakage yields k=0."""
     transcript, _ = _session(_mitm_config(ProtocolKind.LM05, 1.0))
     copy_ok = np.array_equal(transcript.eve_key, transcript.alice_key)
     zero_k = choose_output_length(len(transcript.alice_key), 1.0, 32)
@@ -290,6 +300,7 @@ def _hash_rows(seeds: np.ndarray, xs: np.ndarray, m: int, k: int,
 
 
 def _check_hash_properties() -> CheckResult:
+    """The hash family is deterministic, linear over XOR and collision-free at k=32."""
     rng = random.Random(_SEED)
     m, k = 64, 32
     spec = random_hash_spec(m, k, rng)
@@ -330,6 +341,7 @@ def _check_hash_properties() -> CheckResult:
 
 
 def _check_determinism() -> CheckResult:
+    """Re-running any scenario with the same seed reproduces identical bytes."""
     session = SessionConfig(
         protocol=ProtocolKind.LM05,
         n_rounds=2000,
@@ -361,42 +373,18 @@ def _check_determinism() -> CheckResult:
 
 
 CHECKS: tuple[Check, ...] = (
-    Check(1, "critical-disturbance",
-          "bisection threshold lands on 0.11 with h(D*) = 1/2, under 1 ms",
-          _check_critical_disturbance),
-    Check(2, "mutual-info-identity",
-          "I_AB + I_AE = 1 over the grid and the curves cross at the threshold",
-          _check_mutual_info_identity),
-    Check(3, "mitm-mm-undetectable",
-          "copy attacks flip zero message bits at p in {0.25, 0.5, 1.0}",
-          _check_mitm_mm_undetectable),
-    Check(4, "cm-detection",
-          "control-mode disturbance equals p/2 within 4 sigma",
-          _check_cm_detection),
-    Check(5, "eve-key-copy",
-          "Eve's raw key matches Alice's on every engaged round",
-          _check_eve_key_copy),
-    Check(6, "key-rate-special-cases",
-          "r_PA is exactly 1, 0, 0 for the three fidelity patterns",
-          _check_key_rate_cases),
-    Check(7, "intercept-resend-baseline",
-          "random-basis intercept-resend shows the enumerated 0.25 error rate",
-          _check_intercept_resend_baseline),
-    Check(8, "mcas-threshold",
-          "the predetermined control threshold aborts exactly when exceeded",
-          _check_mcas_threshold),
-    Check(9, "table1-accounting",
-          "distance and transmittance columns follow the leg counts exactly",
-          _check_table1),
-    Check(10, "pa-futility",
-          "with a full copy, hashing returns Eve the same secret key; full leakage yields k=0",
-          _check_pa_futility),
-    Check(11, "hash-properties",
-          "hash family is deterministic, linear over XOR and collision-free at k=32",
-          _check_hash_properties),
-    Check(12, "determinism",
-          "re-running any scenario with the same seed reproduces identical bytes",
-          _check_determinism),
+    Check(1, "critical-disturbance", _check_critical_disturbance),
+    Check(2, "mutual-info-identity", _check_mutual_info_identity),
+    Check(3, "mitm-mm-undetectable", _check_mitm_mm_undetectable),
+    Check(4, "cm-detection", _check_cm_detection),
+    Check(5, "eve-key-copy", _check_eve_key_copy),
+    Check(6, "key-rate-special-cases", _check_key_rate_cases),
+    Check(7, "intercept-resend-baseline", _check_intercept_resend_baseline),
+    Check(8, "mcas-threshold", _check_mcas_threshold),
+    Check(9, "table1-accounting", _check_table1),
+    Check(10, "pa-futility", _check_pa_futility),
+    Check(11, "hash-properties", _check_hash_properties),
+    Check(12, "determinism", _check_determinism),
 )
 
 

@@ -49,12 +49,9 @@ from .channel import ChannelSpec
 from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm, eve_info_mitm, mutual_info_ae
 from .postproc import MAX_HASH_INPUT_BITS
 
-# The per-round primitives stay attributes of this module, and adversary
-# keeps its own measure and prepare: the benchmark's traced run
-# (perfbench/tracing.py) wraps these names in both places.
-from .adversary import intervene_backward, intervene_forward  # noqa: F401
-from .channel import transmit, transmit_bell  # noqa: F401
-from .qstate import measure, prepare  # noqa: F401
+# Placeholders: perfbench/tracing.py wraps these names, nothing calls them,
+# and ROADMAP item 2, step A, removes them.
+transmit = transmit_bell = intervene_forward = intervene_backward = measure = prepare = None
 
 DISCLOSE_FRACTION = 0.1
 BB84_ABORT_THRESHOLD = 0.11
@@ -340,15 +337,21 @@ def _engaged(attack: AttackSpec, draws: _Draws) -> np.ndarray:
 
 
 def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit):
-    """The outgoing-leg hooks that act on a single photon in place.
+    """The outgoing-leg attacks that act on a single photon in place.
 
     Intercept-resend measures in its policy basis (Z for the mcas
     variant) and re-emits the eigenstate it found, keeping the outcome.
     The probe attack keeps a computational carrier with probability f0
-    and a diagonal one with probability f_plus and flips it otherwise,
-    the carrier's reduced state under the probe isometry.  Returns the
+    and a diagonal one with probability f_plus and flips it otherwise.
+    That coin is exact: the probe isometry attaches the kept and flipped
+    branches to probe states in orthogonal subspaces, so the carrier
+    leaves as a keep/flip mixture in its own basis, and probe states
+    within a subspace overlap by 2 f_plus - 1, which lets f_plus vary
+    where fully orthogonal probes would pin it to 1/2.  The isometry
+    exists for every f0 and f_plus in [1/2, 1]; ``tests/test_adversary.py``
+    builds it and checks the branch weights exactly.  Returns the
     carrier's (basis, bit) columns and Eve's inferred bit (-1 throughout
-    for a hook that infers none).
+    for an attack that infers none).
     """
     kind = attack.kind
     if kind in (AttackKind.INTERCEPT_RESEND, AttackKind.MITM_MCAS_X):

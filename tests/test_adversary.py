@@ -1,28 +1,17 @@
-"""Tests for the eavesdropper hooks, the probe interaction and Eve scoring."""
+"""Tests for attack specs, the attacks as the engine runs them, the probe
+isometry and Eve scoring."""
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qkdsim.adversary import (
-    AncillaInteraction,
-    AttackKind,
-    AttackSpec,
-    BasisPolicy,
-    EveState,
-    eve_accuracy,
-    intervene_backward,
-    intervene_forward,
-    xi_from_fidelities,
-)
+from qkdsim.adversary import AttackKind, AttackSpec, BasisPolicy, eve_accuracy, xi_from_fidelities
 from qkdsim.channel import ChannelSpec
 from qkdsim.harness.config import _SCHEMA, ConfigError, parse_config
 from qkdsim.harness.selftest import decoy, error_rate, intercept_resend
 from qkdsim.protocol import ProtocolKind, SessionConfig, run_session
-from qkdsim.qstate import Basis, BellLabel, CanonState, Encoding, apply_encoding
 
 
 class TestOracles:
@@ -48,11 +37,6 @@ class TestAttackSpec:
         with pytest.raises(ValueError, match="^f_plus"):
             AttackSpec(kind, f_plus=1.2)
 
-    def test_from_string(self):
-        parse = _SCHEMA["attack"]["kind"]
-        assert parse("mitm_lm05") is AttackKind.MITM_LM05
-        with pytest.raises(ValueError):
-            parse("bogus")
 
 
 # The config key each spelled type is read from, and the error for a word it
@@ -123,106 +107,6 @@ class TestXiFromFidelities:
             xi_from_fidelities(0.4, 1.0)
         with pytest.raises(ValueError):
             xi_from_fidelities(1.0, 1.01)
-
-
-class TestForwardHook:
-    def test_no_attack_passthrough(self):
-        attack = AttackSpec()
-        st = EveState(attack)
-        st.begin_round(attack, random.Random(0))
-        carrier = CanonState.PLUS
-        assert intervene_forward(attack, st, carrier, random.Random(1)) is carrier
-
-    def test_not_engaged_passthrough(self):
-        attack = AttackSpec(AttackKind.MITM_LM05, 0.0)
-        st = EveState(attack)
-        st.begin_round(attack, random.Random(0))
-        carrier = CanonState.PLUS
-        assert intervene_forward(attack, st, carrier, random.Random(1)) is carrier
-
-    def test_lm05_decoy_uniform_and_storage(self):
-        attack = AttackSpec(AttackKind.MITM_LM05, 1.0)
-        rng = random.Random(2)
-        seen = set()
-        for _ in range(400):
-            st = EveState(attack)
-            st.begin_round(attack, rng)
-            carrier = CanonState.PLUS
-            decoy_state = intervene_forward(attack, st, carrier, rng)
-            assert st.delayed_carrier is carrier
-            assert decoy_state is st.decoy_record
-            seen.add(st.decoy_record)
-        assert seen == set(CanonState)
-
-    def test_pp_decoy_is_fresh_source_pair(self):
-        attack = AttackSpec(AttackKind.MITM_PING_PONG, 1.0)
-        st = EveState(attack)
-        st.begin_round(attack, random.Random(3))
-        out = intervene_forward(attack, st, BellLabel.PSI_MINUS, random.Random(4))
-        assert out is BellLabel.PSI_MINUS
-        assert st.delayed_carrier is BellLabel.PSI_MINUS
-
-    def test_mcas_attack_reemits_message_basis_eigenstate(self):
-        """The asymmetric-protocol attack measures in the message
-        (computational) basis, so computational carriers pass unchanged."""
-        attack = AttackSpec(AttackKind.MITM_MCAS_X, 1.0)
-        rng = random.Random(5)
-        for state in (CanonState.ZERO, CanonState.ONE):
-            for _ in range(50):
-                st = EveState(attack)
-                st.begin_round(attack, rng)
-                out = intervene_forward(attack, st, state, rng)
-                assert out is state
-        outs = set()
-        for _ in range(100):
-            st = EveState(attack)
-            st.begin_round(attack, rng)
-            outs.add(intervene_forward(attack, st, CanonState.PLUS, rng))
-        assert outs == {CanonState.ZERO, CanonState.ONE}
-
-
-class TestBackwardHook:
-    def _engaged_state(self, attack, rng):
-        st = EveState(attack)
-        st.begin_round(attack, rng)
-        assert st.engaged
-        return st
-
-    def test_lm05_inference_and_replay(self):
-        """Returned decoy encoded with iY: Eve reads 1 and flips the
-        stored carrier the same way."""
-        attack = AttackSpec(AttackKind.MITM_LM05, 1.0)
-        rng = random.Random(6)
-        st = self._engaged_state(attack, rng)
-        intervene_forward(attack, st, CanonState.PLUS, rng)
-        returned = apply_encoding(st.decoy_record, Encoding.IY)
-        out = intervene_backward(attack, st, returned, rng)
-        assert st._pending_bit == 1
-        assert out is CanonState.MINUS
-        assert st.delayed_carrier is None
-
-    def test_pp_inference_and_replay(self):
-        attack = AttackSpec(AttackKind.MITM_PING_PONG, 1.0)
-        rng = random.Random(7)
-        st = self._engaged_state(attack, rng)
-        intervene_forward(attack, st, BellLabel.PSI_MINUS, rng)
-        out = intervene_backward(attack, st, BellLabel.PSI_PLUS, rng)
-        assert st._pending_bit == 1
-        assert out is BellLabel.PSI_PLUS
-
-    def test_backward_without_stored_carrier_faults(self):
-        attack = AttackSpec(AttackKind.MITM_LM05, 1.0)
-        rng = random.Random(8)
-        st = self._engaged_state(attack, rng)
-        with pytest.raises(RuntimeError, match="stored carrier"):
-            intervene_backward(attack, st, CanonState.ZERO, rng)
-
-    def test_not_engaged_passthrough(self):
-        attack = AttackSpec(AttackKind.MITM_LM05, 0.0)
-        st = EveState(attack)
-        st.begin_round(attack, random.Random(9))
-        carrier = CanonState.ONE
-        assert intervene_backward(attack, st, carrier, random.Random(10)) is carrier
 
 
 class TestMitmInvariants:
@@ -368,66 +252,26 @@ def probe_isometry(f0, f_plus):
     return v
 
 
-class ScriptedRandom:
-    """An rng whose random() returns the given values, then fails."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def random(self):
-        return next(self._values)
-
-
-FIDELITY_PAIRS = [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.75, 0.8), (0.9, 0.6)]
-
-
 class TestAncillaInteraction:
-    def test_construction_validates_range(self):
-        with pytest.raises(ValueError):
-            AncillaInteraction(0.3, 1.0)
-
-    @pytest.mark.parametrize("f0,f_plus", FIDELITY_PAIRS)
-    def test_apply_keeps_exactly_below_fidelity(self, f0, f_plus):
-        """One random() draw u per call: the carrier is kept exactly when
-        u < f0 (computational inputs) or u < f_plus (diagonal inputs),
-        and otherwise leaves as the other state of its basis."""
-        interaction = AncillaInteraction(f0, f_plus)
-        for state in CanonState:
-            target = f0 if state.basis is Basis.Z else f_plus
-            draws = {0.0, math.nextafter(target, 0.0), target,
-                     math.nextafter(target, 1.0), math.nextafter(1.0, 0.0)}
-            for u in sorted(d for d in draws if d < 1.0):
-                rng = ScriptedRandom([u])
-                want = state if u < target else state.flipped
-                assert interaction.apply(state, rng) is want
-                with pytest.raises(StopIteration):
-                    rng.random()
-
-    def test_no_attack_configuration_is_identity(self):
-        interaction = AncillaInteraction(1.0, 1.0)
-        rng = random.Random(47)
-        for state in CanonState:
-            assert interaction.apply(state, rng) is state
-
     def test_branch_probes_orthogonal_with_exact_weights(self):
         """V is an isometry, and the keep and flip branches attach
         orthogonal probe states for every protocol input, with branch
         weights equal to the configured fidelities.  This is what makes
-        the keep/flip coin of ``apply`` an exact model of the carrier's
+        the engine's keep/flip coin an exact model of the carrier's
         reduced state."""
         r = 2 ** -0.5
-        eig = {(Basis.Z, 0): np.array([1.0, 0.0]), (Basis.Z, 1): np.array([0.0, 1.0]),
-               (Basis.X, 0): np.array([r, r]), (Basis.X, 1): np.array([r, -r])}
+        eig = {("Z", 0): np.array([1.0, 0.0]), ("Z", 1): np.array([0.0, 1.0]),
+               ("X", 0): np.array([r, r]), ("X", 1): np.array([r, -r])}
         for f0 in (0.5, 0.75, 1.0):
             for f_plus in (0.5, 0.8, 1.0):
                 matrix = probe_isometry(f0, f_plus)
                 assert np.allclose(matrix.T @ matrix, np.eye(2), rtol=0.0, atol=1e-12)
-                for state in CanonState:
-                    joint = (matrix @ eig[(state.basis, state.bit)]).reshape(2, 4)
-                    keep = eig[(state.basis, state.bit)].conj() @ joint
-                    flip = eig[(state.basis, 1 - state.bit)].conj() @ joint
+                for basis, bit in eig:
+                    joint = (matrix @ eig[(basis, bit)]).reshape(2, 4)
+                    keep = eig[(basis, bit)].conj() @ joint
+                    flip = eig[(basis, 1 - bit)].conj() @ joint
                     assert abs(np.vdot(keep, flip)) < 1e-12
-                    target = f0 if state.basis is Basis.Z else f_plus
+                    target = f0 if basis == "Z" else f_plus
                     assert abs(np.vdot(keep, keep).real - target) < 1e-12
 
     def test_session_with_ancilla_attack_runs(self):
