@@ -276,6 +276,7 @@ def _run_table_scenario(sc: Scenario, out: Path) -> ScenarioResult:
             t_leg ** row.legs,
             transcript.aborted,
         ])
+        del transcript  # free its round columns before the next session's
     path = out / "table1.csv"
     _write_rows(path, ["protocol", "modes", "d_mm", "d_cm", "max_disturbance",
                        "secure_for", "i_ab", "i_ae", "photon_distance_km",
@@ -293,6 +294,7 @@ def _run_sweep_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         acc = eve_accuracy(transcript)
         rows.append([cfg.attack.presence, est.d_mm, est.d_cm, acc.coverage, acc.accuracy,
                      transcript.aborted])
+        del transcript  # free its round columns before the next session's
     path = out / "sweep.csv"
     _write_rows(path, ["p", "d_mm", "d_cm", "eve_coverage", "eve_accuracy", "abort"],
                 rows)
@@ -302,7 +304,8 @@ def _run_sweep_scenario(sc: Scenario, out: Path) -> ScenarioResult:
 # ---------------------------------------------------------------- session
 
 def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
-    transcript = run_session(sc.session)
+    cfg = sc.session
+    transcript = run_session(cfg)
     est = transcript.disturbance
     acc = eve_accuracy(transcript)
 
@@ -310,13 +313,14 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     with open(transcript_path, "wb") as fh:
         write_transcript_csv(transcript, fh)
 
+    key, aborted = transcript.alice_key, transcript.aborted
     summary = [
-        ("protocol", transcript.config.protocol.value),
-        ("n_rounds", transcript.config.n_rounds),
-        ("seed", transcript.config.seed),
-        ("attack", transcript.config.attack.kind.value),
-        ("presence", transcript.config.attack.presence),
-        ("key_length", len(transcript.alice_key)),
+        ("protocol", cfg.protocol.value),
+        ("n_rounds", cfg.n_rounds),
+        ("seed", cfg.seed),
+        ("attack", cfg.attack.kind.value),
+        ("presence", cfg.attack.presence),
+        ("key_length", len(key)),
         ("d_mm", est.d_mm),
         ("d_cm", est.d_cm),
         ("n_mm", est.n_mm),
@@ -324,20 +328,22 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
         ("d_cm_half_width_95", est.half_width_95),
         ("eve_coverage", acc.coverage),
         ("eve_accuracy", acc.accuracy),
-        ("aborted", transcript.aborted),
+        ("aborted", aborted),
         ("abort_reason", transcript.abort_reason or ""),
-        ("alice_key_hex", bits_to_hex(transcript.alice_key)),
+        ("alice_key_hex", bits_to_hex(key)),
         ("bob_key_hex", bits_to_hex(transcript.bob_key)),
     ]
     if len(transcript.eve_key) and (transcript.eve_key >= 0).all():
         summary.append(("eve_key_hex", bits_to_hex(transcript.eve_key)))
+    # Privacy amplification needs only Alice's key: free the round columns
+    # before the hash allocates its FFT buffers.
+    del transcript
 
-    if not transcript.aborted and len(transcript.alice_key):
-        eve_info = leaked_fraction(est, transcript.config)
+    if not aborted and len(key):
+        eve_info = leaked_fraction(est, cfg)
         if eve_info is not None:
-            pa_rng = random.Random(child_seed(transcript.config.seed, 0x70A))
-            secret, spec = privacy_amplify(transcript.alice_key, eve_info,
-                                           DEFAULT_SAFETY_BITS, pa_rng)
+            pa_rng = random.Random(child_seed(cfg.seed, 0x70A))
+            secret, spec = privacy_amplify(key, eve_info, DEFAULT_SAFETY_BITS, pa_rng)
             summary.append(("pa_eve_info", eve_info))
             summary.append(("pa_output_length", spec.output_len if spec else 0))
             summary.append(("secret_key_hex", bits_to_hex(secret)))
@@ -346,8 +352,7 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
 
     summary_path = out / "summary.csv"
     _write_rows(summary_path, ["key", "value"], summary)
-    return ScenarioResult([transcript_path, summary_path],
-                          session_aborted=transcript.aborted)
+    return ScenarioResult([transcript_path, summary_path], session_aborted=aborted)
 
 
 _RUNNERS = {

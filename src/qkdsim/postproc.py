@@ -121,11 +121,19 @@ def _toeplitz_parity(seeds: np.ndarray, xs: np.ndarray, m: int, k: int) -> np.nd
     mixed-radix FFTs of such lengths cost about as much per point as
     power-of-two ones (Frigo & Johnson, Proc. IEEE 93(2), 2005), while the
     next power of two can be almost twice m + k - 1.
+
+    The most array memory held at once is the two spectra: their product
+    overwrites the first, and it is freed before the rounding, which
+    happens in place in the inverse FFT's output.  Values are at most
+    m <= 2^24, so their parities are taken in int32.
     """
     n = _fft_length(m + k - 1)
-    spectrum = np.fft.rfft(seeds, n) * np.fft.rfft(xs, n)
+    spectrum = np.fft.rfft(seeds, n)
+    spectrum *= np.fft.rfft(xs, n)
     conv = np.fft.irfft(spectrum, n)[..., m - 1:m - 1 + k]
-    return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
+    del spectrum
+    np.rint(conv, out=conv)
+    return (conv.astype(np.int32) & 1).astype(np.uint8)
 
 
 def universal_hash(x: np.ndarray, spec: HashSpec) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -587,6 +588,25 @@ class TestCurveScenarios:
         assert "xlink" not in svg  # self-contained, no external assets
 
 
+def _watch_columns(monkeypatch):
+    """Patch ``scenario.run_session`` to keep a weak reference to each
+    session's ``RoundColumns``.  Returns the references and, per call, how
+    many earlier sessions' columns were still alive when it started."""
+    from qkdsim.harness import scenario as scenario_module
+
+    refs, alive = [], []
+    real = scenario_module.run_session
+
+    def run_session(cfg):
+        alive.append(sum(ref() is not None for ref in refs))
+        transcript = real(cfg)
+        refs.append(weakref.ref(transcript.columns))
+        return transcript
+
+    monkeypatch.setattr(scenario_module, "run_session", run_session)
+    return refs, alive
+
+
 # Table1's rows with the paper's leg counts: one-way once, LM05 out and
 # back, ping-pong four times.
 def _table_rows(tmp_path, **kwargs) -> list[dict]:
@@ -626,6 +646,11 @@ class TestTableScenario:
         assert rows["pp"]["d_mm"] == "0.0"
         assert rows["lm05"]["secure_for"] == "undefined"
 
+    def test_frees_each_session_before_the_next(self, tmp_path, monkeypatch):
+        refs, alive = _watch_columns(monkeypatch)
+        run_scenario(Scenario("table1", seed=3, out_dir=str(tmp_path), n_rounds=500))
+        assert alive == [0] * len(PROTOCOLS)
+        assert len(refs) == len(PROTOCOLS) and all(ref() is None for ref in refs)
 
     @pytest.mark.parametrize("d_pd_cm", [None, 0.1])
     def test_rule_cells_follow_the_abort_rule(self, tmp_path, d_pd_cm):
@@ -652,6 +677,14 @@ class TestTableScenario:
 
 
 class TestSweepScenario:
+    def test_frees_each_session_before_the_next(self, tmp_path, monkeypatch):
+        refs, alive = _watch_columns(monkeypatch)
+        session = SessionConfig(protocol=ProtocolKind.LM05, seed=1, n_rounds=200)
+        run_scenario(Scenario("sweep", seed=1, out_dir=str(tmp_path), session=session,
+                              p_values=(0.0, 0.5, 1.0)))
+        assert alive == [0, 0, 0]
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+
     def test_full_presence_row(self, tmp_path):
         session = SessionConfig(protocol=ProtocolKind.LM05, n_rounds=3000, seed=4,
                                 attack=AttackSpec(AttackKind.MITM_LM05))
@@ -705,6 +738,23 @@ class TestSessionScenario:
             summary = {r["key"]: r["value"] for r in csv.DictReader(fh)}
         assert summary["seed"] == "9" and summary["secret_key_hex"] != "0:"
         assert filecmp.cmp(*paths, shallow=False)
+
+    def test_round_columns_are_freed_before_hashing(self, tmp_path, monkeypatch):
+        """Privacy amplification runs once the transcript is written and
+        only the key is left: the session's round columns are gone."""
+        from qkdsim.harness import scenario as scenario_module
+
+        refs, _ = _watch_columns(monkeypatch)
+        alive_at_hash = []
+        real = scenario_module.privacy_amplify
+
+        def privacy_amplify(*args):
+            alive_at_hash.append(refs[0]() is not None)
+            return real(*args)
+
+        monkeypatch.setattr(scenario_module, "privacy_amplify", privacy_amplify)
+        run_scenario(self._scenario(tmp_path, presence=0.1))
+        assert alive_at_hash == [False]
 
     def test_rerun_byte_identical(self, tmp_path):
         first = run_scenario(self._scenario(tmp_path / "a"))

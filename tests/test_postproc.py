@@ -3,6 +3,7 @@
 Keys, seeds and hash values are uint8 bit arrays."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,28 @@ class TestUniversalHash:
             ones = np.ones(m, np.uint8)
             assert_bits_equal(universal_hash(ones, HashSpec(m, 1, ones)),
                               np.array([m % 2], np.uint8))
+
+    def test_peak_memory_is_the_two_spectra(self):
+        """At session_pa's largest (m, k), the hash allocates at most 4 KiB
+        more than holding the seed's and the input's spectra at once: the
+        product overwrites one, and it is freed before the rounding."""
+        m, k = 20000, 18968
+        rng = random.Random(20)
+        spec = random_hash_spec(m, k, rng)
+        x = random_bits(rng, m)
+        n = _fft_length(m + k - 1)
+
+        def peak(fn):
+            fn()  # warm-up: no first-call cost counts
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        spectra = peak(lambda: (np.fft.rfft(spec.seed_bits, n), np.fft.rfft(x, n)))
+        assert peak(lambda: universal_hash(x, spec)) <= spectra + 4096
 
     def test_input_above_cap_rejected(self):
         m = MAX_HASH_INPUT_BITS + 1
