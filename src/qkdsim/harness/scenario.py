@@ -72,18 +72,18 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"name {self.name!r} is not one of {', '.join(SCENARIO_NAMES)}")
-        if not 0 <= self.seed < 2 ** 64:
+        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if not self.out_dir or "\0" in self.out_dir:
             raise ValueError(f"out_dir must name a directory, got {self.out_dir!r}")
-        if not 2 <= self.n_points <= MAX_GRID_POINTS:
+        if not (type(self.n_points) is int and 2 <= self.n_points <= MAX_GRID_POINTS):
             raise ValueError(f"n_points out of [2, {MAX_GRID_POINTS}]: {self.n_points!r}")
         if self.d_pd_cm is not None:
             if self.name in ("session", "sweep"):
                 raise ValueError(f"d_pd_cm: a {self.name} scenario reads session.d_pd_cm, "
                                  f"got {self.d_pd_cm!r}")
             check_d_pd_cm(self.d_pd_cm)
-        if not 1 <= self.n_rounds <= MAX_N_ROUNDS:
+        if not (type(self.n_rounds) is int and 1 <= self.n_rounds <= MAX_N_ROUNDS):
             raise ValueError(f"n_rounds out of [1, {MAX_N_ROUNDS}]: {self.n_rounds!r}")
         if self.name in ("session", "sweep") and self.session is None:
             raise ValueError(f"session: a {self.name} scenario needs a SessionConfig")
@@ -145,7 +145,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a float subclass (numpy's) would repr as its type
     return str(value)
 
 

@@ -95,9 +95,9 @@ class SessionConfig:
     enforce_cm_threshold: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.n_rounds <= MAX_N_ROUNDS:
+        if not (type(self.n_rounds) is int and 1 <= self.n_rounds <= MAX_N_ROUNDS):
             raise ValueError(f"n_rounds out of [1, {MAX_N_ROUNDS}]: {self.n_rounds!r}")
-        if not 0 <= self.seed < 2 ** 64:
+        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if not 0.0 <= self.cm_fraction < 1.0:
             raise ValueError(f"cm_fraction out of [0, 1): {self.cm_fraction!r}")

@@ -227,7 +227,7 @@ def sweep_argvs(draw):
     """
     argv, invalid = ["sweep"], set()
     for flag in _SWEEP_REQUIRED + _SWEEP_OPTIONAL:
-        key = tuple(_FLAGS[flag][0].split("."))
+        key = tuple(_FLAGS[flag].split("."))
         if not draw(st.sampled_from(range(25 if flag in _SWEEP_REQUIRED else 3))):
             continue  # left out: 1 in 25 for a required flag, 2 in 3 otherwise
         if draw(st.sampled_from(range(10))):

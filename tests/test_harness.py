@@ -4,6 +4,7 @@ import csv
 import filecmp
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -16,7 +17,7 @@ import pytest
 import qkdsim
 from qkdsim.adversary import AttackKind, AttackSpec
 from qkdsim.channel import ChannelSpec, LinkBudget, leg_transmittance
-from qkdsim.harness.cli import _FLAGS, _build_parser, main
+from qkdsim.harness.cli import _FLAGS, main
 from qkdsim.harness.config import ConfigError, parse_config
 from qkdsim.harness.scenario import (
     MAX_GRID_POINTS,
@@ -413,7 +414,7 @@ class TestFlagsAreConfigEntries:
     def test_cases_cover_every_flag(self):
         assert {flag for _, flag, _, _ in _FLAG_CASES} - {"label"} == set(_FLAGS)
         assert {(flag, key) for _, flag, _, key in _FLAG_CASES if flag in _FLAGS} == {
-            (flag, key) for flag, (key, _) in _FLAGS.items()}
+            (flag, key) for flag, key in _FLAGS.items()}
 
     @pytest.mark.parametrize("command, flag, value, key", _FLAG_CASES)
     def test_flag_builds_the_scenario_of_its_key(self, tmp_path, monkeypatch,
@@ -845,8 +846,7 @@ class TestCli:
         assert (tmp_path / "sweep.csv").exists()
 
     def test_shared_parser_keeps_no_state(self, tmp_path):
-        """main() parses with one parser per process; no call changes the next."""
-        assert _build_parser() is _build_parser()
+        """No call of main() changes the next."""
         sweep = ["sweep", "--protocol", "lm05", "--attack", "mitm_lm05", "--p-grid", "0:1:3",
                  "--rounds", "2000", "--seed", "4"]
 
@@ -859,7 +859,6 @@ class TestCli:
         assert plain != threshold
         assert main(["sweep", "--protocol", "lm05"]) == 1
         assert sweep_csv("again") == plain
-        _build_parser.cache_clear()
         assert sweep_csv("fresh") == plain
 
     def test_runs_with_docstrings_stripped(self, tmp_path):
@@ -872,6 +871,10 @@ class TestCli:
              "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2a.csv", "fig2a.svg"]
+        proc = subprocess.run([sys.executable, "-OO", "-m", "qkdsim.harness.cli", "sweep", "-h"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "--p-grid" in proc.stdout and "sweep.p_grid" in proc.stdout
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -917,3 +920,132 @@ class TestTableEdgeCases:
         assert [float(r["transmittance"]) for r in rows] == [0.0] * 4
         assert [float(r["photon_distance_km"]) for r in rows] == [20000.0, 80000.0,
                                                                    40000.0, 20000.0]
+
+
+def _reports(out: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestNumericTypes:
+    """Reports and range checks treat numpy numbers as the Python numbers
+    they hold, or reject them."""
+
+    @pytest.mark.parametrize("name", ["sweep", "session", "table1", "fig2c"])
+    def test_numpy_floats_write_the_same_reports(self, tmp_path, name):
+        def build(out, number):
+            session = SessionConfig(protocol=ProtocolKind.LM05, seed=2, n_rounds=300,
+                                    attack=AttackSpec(AttackKind.MITM_LM05, number(0.3)))
+            if name == "sweep":
+                p_values = tuple(np.linspace(0, 1, 3)) if number is np.float64 else (0.0, 0.5, 1.0)
+                return Scenario(name, seed=2, out_dir=out, session=session, p_values=p_values)
+            if name == "session":
+                return Scenario(name, seed=2, out_dir=out, session=session)
+            return Scenario(name, seed=2, out_dir=out, n_rounds=300, n_points=5,
+                            d_pd_cm=number(0.2))
+
+        for number in (float, np.float64):
+            run_scenario(build(str(tmp_path / number.__name__), number))
+        python, numpy = _reports(tmp_path / "float"), _reports(tmp_path / "float64")
+        assert python == numpy
+        assert not any(b"np." in data for data in numpy.values())
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 5.5), ("seed", np.int64(5)), ("seed", True),
+        ("n_rounds", 10.5), ("n_rounds", True), ("n_rounds", np.int64(10)),
+    ])
+    def test_session_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            SessionConfig(protocol=ProtocolKind.LM05, **{"seed": 5, "n_rounds": 10,
+                                                         field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", np.int64(1)), ("seed", True),
+        ("n_rounds", 2.5), ("n_rounds", np.int64(10)), ("n_rounds", True),
+        ("n_points", 2.5), ("n_points", np.int64(5)), ("n_points", True),
+    ])
+    def test_scenario_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            Scenario("table1" if field == "n_rounds" else "fig2a", **{"seed": 1, field: value})
+
+
+class TestCommandLineGrammar:
+    """The words main() reads: commands, their argument and their flags."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus", "--out", "OUT"],
+        ["--out", "OUT"],
+        ["curves", "fig9", "--out", "OUT"],
+        ["curves", "--out", "OUT"],
+        ["curves", "fig2a", "--out", "OUT", "--rounds", "5"],
+        [*_SWEEP_ARGV, "--out", "OUT", "--points", "4"],
+        ["curves", "fig2a", "--out", "OUT", "--points"],
+        [*_SWEEP_ARGV, "--out", "OUT", "--rounds"],
+        ["run", "CFG", "extra"],
+        ["run", "--out", "OUT"],
+        [*_SWEEP_ARGV, "--out", "OUT", "--threshold=true"],
+        ["curves", "fig2a", "--out", "OUT", "--threshold"],
+        [*_SWEEP_ARGV, "--out", "OUT", "--"],
+        ["selftest", "--seed", "1"],
+    ])
+    def test_usage_error_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        out = tmp_path / "out"
+        cfg = _file(tmp_path, {"scenario": {"name": "fig2a", "seed": "1", "out_dir": str(out)}})
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main([{"CFG": cfg, "OUT": str(out)}.get(word, word) for word in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and captured.out == ""
+        assert not out.exists() and os.listdir(cwd) == []
+
+    def test_unknown_words_are_listed_in_order(self, capsys):
+        assert main(["curves", "fig2a", "--bogus", "-x", "--point=5", "more"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: unrecognized arguments: --bogus -x --point=5 more\n")
+
+    def test_missing_required_flags_are_named(self, capsys):
+        assert main(["sweep", "--attack", "none", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: --protocol, --p-grid\n")
+
+    def test_equals_form_builds_the_same_scenario(self, tmp_path, monkeypatch):
+        out = ["--out", str(tmp_path / "out")]
+        spaced = _scenario_of(monkeypatch, _SWEEP_ARGV + out + ["--seed", "7", "--flip-prob",
+                                                                 "0.01"])
+        joined = _scenario_of(monkeypatch, _SWEEP_ARGV + out + ["--seed=7", "--flip-prob=0.01"])
+        assert joined == spaced and joined.seed == 7
+
+    def test_repeated_flag_keeps_its_last_value(self, tmp_path, monkeypatch):
+        out = ["--out", str(tmp_path / "out")]
+        sc = _scenario_of(monkeypatch, _SWEEP_ARGV + out + ["--seed", "3", "--seed=8",
+                                                            "--rounds", "5", "--rounds", "6"])
+        assert sc.seed == 8 and sc.session.n_rounds == 6
+
+    def test_argument_may_follow_the_flags(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        path = _file(tmp_path, {"scenario": {"name": "fig2a"}})
+        assert main(["run", "--seed", "3", "--out", str(out), path]) == 0
+        assert (out / "fig2a.csv").exists()
+        sc = _scenario_of(monkeypatch, ["curves", "--seed", "2", "--out", str(out), "fig2c"])
+        assert sc.name == "fig2c" and sc.seed == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["sweep", "-h"], ["sweep", "--protocol", "lm05", "--help"],
+        ["curves", "fig2a", "-h"], ["run", "--help"], ["selftest", "-h"],
+    ])
+    def test_help_prints_every_command_and_flag(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        for command in ("run <config>", "curves <label>", "sweep --protocol", "selftest"):
+            assert f"qkdsim {command}" in text
+        for flag, key in _FLAGS.items():
+            assert re.search(rf"^ +{re.escape(flag)} +{re.escape(key)}$", text, re.M), flag
+        assert os.listdir(tmp_path) == []
+
+    def test_help_is_a_value_after_a_value_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(_CURVES_ARGV + ["--out", str(out), "--points", "-h"]) == 1
+        assert capsys.readouterr().err.startswith("config error: --points: ")
+        assert not out.exists()
