@@ -18,6 +18,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .checks import check_range, check_type
+
 if TYPE_CHECKING:  # pragma: no cover
     from .protocol import Transcript
 
@@ -55,15 +57,11 @@ class AttackSpec:
     f_plus: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.presence <= 1.0:
-            raise ValueError(f"presence out of [0, 1]: {self.presence!r}")
-        _check_fidelities(self.f0, self.f_plus)
-
-
-def _check_fidelities(f0: float, f_plus: float) -> None:
-    for name, value in (("f0", f0), ("f_plus", f_plus)):
-        if not MIN_FIDELITY <= value <= 1.0:
-            raise ValueError(f"{name} out of [{MIN_FIDELITY}, 1]: {value!r}")
+        check_type("kind", self.kind, AttackKind)
+        check_range("presence", self.presence, 0, 1)
+        check_type("basis_policy", self.basis_policy, BasisPolicy)
+        check_range("f0", self.f0, MIN_FIDELITY, 1)
+        check_range("f_plus", self.f_plus, MIN_FIDELITY, 1)
 
 
 def xi_from_fidelities(f0: float, f_plus: float) -> float:
@@ -71,7 +69,8 @@ def xi_from_fidelities(f0: float, f_plus: float) -> float:
 
     Uses the identification c1^2 = 1 - f0 and c++^2 = f_plus.
     """
-    _check_fidelities(f0, f_plus)
+    check_range("f0", f0, MIN_FIDELITY, 1)
+    check_range("f_plus", f_plus, MIN_FIDELITY, 1)
     return f_plus - (1.0 - f0)
 
 

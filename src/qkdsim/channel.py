@@ -11,6 +11,8 @@ reduce yield; they never flip bits.
 import math
 from dataclasses import dataclass
 
+from .checks import check_range
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -23,10 +25,8 @@ class ChannelSpec:
     flip_prob: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.transmittance_per_leg <= 1.0:
-            raise ValueError(f"transmittance_per_leg out of [0, 1]: {self.transmittance_per_leg!r}")
-        if not 0.0 <= self.flip_prob <= 0.5:
-            raise ValueError(f"flip_prob out of [0, 0.5]: {self.flip_prob!r}")
+        check_range("transmittance_per_leg", self.transmittance_per_leg, 0, 1)
+        check_range("flip_prob", self.flip_prob, 0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,8 @@ class LinkBudget:
     distance_km: float = 50.0
 
     def __post_init__(self):
-        for name in ("alpha_db_per_km", "distance_km"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        check_range("alpha_db_per_km", self.alpha_db_per_km, 0, math.inf, "[)")
+        check_range("distance_km", self.distance_km, 0, math.inf, "[)")
 
 
 def leg_transmittance(budget: LinkBudget) -> float:

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..adversary import AttackSpec, eve_accuracy
+from ..adversary import eve_accuracy
 from ..channel import LinkBudget, leg_transmittance
+from ..checks import check_range, check_seed
 from ..infotheory import (
     CURVE_LABELS,
     DEFAULT_D_PD_CM,
@@ -23,7 +24,6 @@ from ..infotheory import (
     MutualInfoCurve,
     _linspace,
     build_curve,
-    check_d_pd_cm,
     mutual_info_ab,
 )
 from ..postproc import DEFAULT_SAFETY_BITS, NO_PRIVACY_REASON, check_bits, privacy_amplify
@@ -72,19 +72,16 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"name {self.name!r} is not one of {', '.join(SCENARIO_NAMES)}")
-        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
+        check_seed(self.seed)
         if not self.out_dir or "\0" in self.out_dir:
             raise ValueError(f"out_dir must name a directory, got {self.out_dir!r}")
-        if not (type(self.n_points) is int and 2 <= self.n_points <= MAX_GRID_POINTS):
-            raise ValueError(f"n_points out of [2, {MAX_GRID_POINTS}]: {self.n_points!r}")
+        check_range("n_points", self.n_points, 2, MAX_GRID_POINTS, integer=True)
         if self.d_pd_cm is not None:
             if self.name in ("session", "sweep"):
                 raise ValueError(f"d_pd_cm: a {self.name} scenario reads session.d_pd_cm, "
                                  f"got {self.d_pd_cm!r}")
-            check_d_pd_cm(self.d_pd_cm)
-        if not (type(self.n_rounds) is int and 1 <= self.n_rounds <= MAX_N_ROUNDS):
-            raise ValueError(f"n_rounds out of [1, {MAX_N_ROUNDS}]: {self.n_rounds!r}")
+            check_range("d_pd_cm", self.d_pd_cm, 0, 0.5, "()")
+        check_range("n_rounds", self.n_rounds, 1, MAX_N_ROUNDS, integer=True)
         if self.name in ("session", "sweep") and self.session is None:
             raise ValueError(f"session: a {self.name} scenario needs a SessionConfig")
         if self.name == "sweep":
@@ -124,10 +121,9 @@ def parse_p_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"p-grid must look like a:b:n, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
     n = int(parts[2])
-    if not 1 <= n <= MAX_GRID_POINTS:
-        raise ValueError(f"p-grid needs 1 to {MAX_GRID_POINTS} points, got {n}")
-    for bound in (lo, hi):
-        AttackSpec(presence=bound)  # the presence range check
+    check_range("p-grid points", n, 1, MAX_GRID_POINTS, integer=True)
+    check_range("presence", lo, 0, 1)
+    check_range("presence", hi, 0, 1)
     return (lo,) if n == 1 else _linspace(lo, hi, n)
 
 

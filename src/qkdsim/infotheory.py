@@ -22,41 +22,31 @@ is noted here for reference only and is not computed.
 import math
 from dataclasses import dataclass
 
+from .checks import check_range
+
 CURVE_LABELS = ("fig2a", "fig2b", "fig2c")
 
 DEFAULT_GRID_POINTS = 201
 DEFAULT_D_PD_CM = 0.05
 
 
-def check_d_pd_cm(d_pd_cm: float) -> None:
-    """The predetermined control-mode threshold must lie in (0, 0.5)."""
-    if not 0.0 < d_pd_cm < 0.5:
-        raise ValueError(f"d_pd_cm out of (0, 0.5): {d_pd_cm!r}")
-
-
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument out of [0, 1]: {x!r}")
+    check_range("argument", x, 0, 1)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
 
 
-def _check_disturbance(d: float) -> None:
-    if not 0.0 <= d <= 0.5:
-        raise ValueError(f"disturbance out of [0, 0.5]: {d!r}")
-
-
 def mutual_info_ab(d: float) -> float:
     """Sender-receiver mutual information 1 - h(d)."""
-    _check_disturbance(d)
+    check_range("disturbance", d, 0, 0.5)
     return 1.0 - binary_entropy(d)
 
 
 def mutual_info_ae(d: float) -> float:
     """Sender-eavesdropper mutual information h(d)."""
-    _check_disturbance(d)
+    check_range("disturbance", d, 0, 0.5)
     return binary_entropy(d)
 
 
@@ -66,8 +56,7 @@ def critical_disturbance(tol: float = 1e-6) -> float:
     Equivalently the d with h(d) = 1/2, about 0.11.  The returned value
     satisfies |h(d) - 1/2| < tol.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_range("tol", tol, 0, math.inf, "(]")
     lo, hi = 0.05, 0.2
     # |d/dd (1 - 2 h)| < 9 on the bracket, so an interval below tol/16
     # pins the function value well inside tol.
@@ -85,8 +74,7 @@ def critical_disturbance(tol: float = 1e-6) -> float:
 
 def key_rate_rpa(xi: float) -> float:
     """Asymptotic secure key rate 1 - h(xi) of the ancilla-attack bound."""
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi out of [0, 1]: {xi!r}")
+    check_range("xi", xi, 0, 1)
     return 1.0 - binary_entropy(xi)
 
 
@@ -98,7 +86,7 @@ def eve_info_mitm(d_cm: float) -> float:
     leak, not a bound over attacks: a double-CNOT Eve copies every LM05
     message bit at D_CM = p/4.
     """
-    _check_disturbance(d_cm)
+    check_range("disturbance", d_cm, 0, 0.5)
     return min(1.0, 2.0 * d_cm)
 
 
@@ -128,12 +116,11 @@ def _linspace(lo: float, hi: float, n: int) -> tuple[float, ...]:
 def build_curve(label: str, n_points: int = DEFAULT_GRID_POINTS,
                 d_pd_cm: float = DEFAULT_D_PD_CM) -> MutualInfoCurve:
     """Sample one of the bundled curve presets (see module docstring)."""
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points!r}")
+    check_range("n_points", n_points, 2, math.inf, "[)", integer=True)
     if label not in CURVE_LABELS:
         raise ValueError(f"unknown curve label: {label!r}")
     if label == "fig2c":  # fig2b's copy model, up to the control threshold
-        check_d_pd_cm(d_pd_cm)
+        check_range("d_pd_cm", d_pd_cm, 0, 0.5, "()")
     grid = _linspace(0.0, d_pd_cm if label == "fig2c" else 0.5, n_points)
     if label == "fig2a":
         return MutualInfoCurve(grid, tuple(map(mutual_info_ab, grid)),

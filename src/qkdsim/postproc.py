@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_range
+
 NO_PRIVACY_REASON = "no-extractable-privacy"
 
 DEFAULT_SAFETY_BITS = 32
@@ -73,11 +75,8 @@ class HashSpec:
     seed_bits: np.ndarray
 
     def __post_init__(self):
-        if self.input_len < 1:
-            raise ValueError(f"input_len must be positive, got {self.input_len!r}")
-        if not 0 <= self.output_len <= self.input_len:
-            raise ValueError(
-                f"output_len out of [0, {self.input_len}]: {self.output_len!r}")
+        check_range("input_len", self.input_len, 1, math.inf, "[)", integer=True)
+        check_range("output_len", self.output_len, 0, self.input_len, integer=True)
         expected = self.input_len + self.output_len - 1
         if len(self.seed_bits) != expected:
             raise ValueError(
@@ -192,12 +191,9 @@ def choose_output_length(m: int, eve_info: float, safety: int = DEFAULT_SAFETY_B
     With eve_info = 1 this is zero regardless of m: full leakage leaves
     nothing to extract.
     """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m!r}")
-    if not 0.0 <= eve_info <= 1.0:
-        raise ValueError(f"eve_info out of [0, 1]: {eve_info!r}")
-    if safety < 0:
-        raise ValueError(f"safety must be >= 0, got {safety!r}")
+    check_range("m", m, 0, math.inf, "[)", integer=True)
+    check_range("eve_info", eve_info, 0, 1)
+    check_range("safety", safety, 0, math.inf, "[)", integer=True)
     return max(0, math.floor(m * (1.0 - eve_info)) - safety)
 
 

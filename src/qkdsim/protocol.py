@@ -46,7 +46,8 @@ import numpy as np
 
 from .adversary import AttackKind, AttackSpec, BasisPolicy
 from .channel import ChannelSpec
-from .infotheory import DEFAULT_D_PD_CM, check_d_pd_cm, eve_info_mitm, mutual_info_ae
+from .checks import check_range, check_seed, check_type
+from .infotheory import DEFAULT_D_PD_CM, eve_info_mitm, mutual_info_ae
 from .postproc import MAX_HASH_INPUT_BITS
 
 # Placeholders: perfbench/tracing.py wraps these names, nothing calls them,
@@ -95,13 +96,12 @@ class SessionConfig:
     enforce_cm_threshold: bool = False
 
     def __post_init__(self):
-        if not (type(self.n_rounds) is int and 1 <= self.n_rounds <= MAX_N_ROUNDS):
-            raise ValueError(f"n_rounds out of [1, {MAX_N_ROUNDS}]: {self.n_rounds!r}")
-        if not (type(self.seed) is int and 0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if not 0.0 <= self.cm_fraction < 1.0:
-            raise ValueError(f"cm_fraction out of [0, 1): {self.cm_fraction!r}")
-        check_d_pd_cm(self.d_pd_cm)
+        check_type("protocol", self.protocol, ProtocolKind)
+        check_range("n_rounds", self.n_rounds, 1, MAX_N_ROUNDS, integer=True)
+        check_seed(self.seed)
+        check_range("cm_fraction", self.cm_fraction, 0, 1, "[)")
+        check_range("d_pd_cm", self.d_pd_cm, 0, 0.5, "()")
+        check_type("enforce_cm_threshold", self.enforce_cm_threshold, bool)
         if self.attack.kind not in PROTOCOLS[self.protocol].attacks:
             raise ValueError(
                 f"kind {self.attack.kind.value} does not apply to {self.protocol.value}")
