@@ -18,6 +18,7 @@ def check_seed(seed) -> None:
 
 
 def check_type(name: str, value, cls: type) -> None:
-    """An enum or bool field holds exactly a member, or True or False."""
+    """A field holds exactly an instance of ``cls``, not of a subclass: an enum
+    field a member, a bool field True or False, a nested spec that spec."""
     if type(value) is not cls:
         raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")

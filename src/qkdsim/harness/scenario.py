@@ -6,7 +6,7 @@ identical runs produce byte-identical files.  Report floats use repr,
 which round-trips exactly.
 """
 
-import csv
+import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -16,7 +16,7 @@ import numpy as np
 
 from ..adversary import eve_accuracy
 from ..channel import LinkBudget, leg_transmittance
-from ..checks import check_range, check_seed
+from ..checks import check_range, check_seed, check_type
 from ..infotheory import (
     CURVE_LABELS,
     DEFAULT_D_PD_CM,
@@ -73,6 +73,7 @@ class Scenario:
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"name {self.name!r} is not one of {', '.join(SCENARIO_NAMES)}")
         check_seed(self.seed)
+        check_type("out_dir", self.out_dir, str)
         if not self.out_dir or "\0" in self.out_dir:
             raise ValueError(f"out_dir must name a directory, got {self.out_dir!r}")
         check_range("n_points", self.n_points, 2, MAX_GRID_POINTS, integer=True)
@@ -82,7 +83,10 @@ class Scenario:
                                  f"got {self.d_pd_cm!r}")
             check_range("d_pd_cm", self.d_pd_cm, 0, 0.5, "()")
         check_range("n_rounds", self.n_rounds, 1, MAX_N_ROUNDS, integer=True)
-        if self.name in ("session", "sweep") and self.session is None:
+        check_type("link", self.link, LinkBudget)
+        if self.session is not None:
+            check_type("session", self.session, SessionConfig)
+        elif self.name in ("session", "sweep"):
             raise ValueError(f"session: a {self.name} scenario needs a SessionConfig")
         if self.name == "sweep":
             if not self.p_values:
@@ -155,18 +159,37 @@ def bits_to_hex(bits: np.ndarray) -> str:
     """
     bits = check_bits(bits, "bits")
     n = len(bits)
-    if not n:
-        return "0:"
-    value = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-n % 8)
-    return f"{n}:{value:0{(n + 3) // 4}x}"
+    # The first n % 8 bits fill a byte of their own, right-aligned, so the
+    # rest packs from a view of the key, never a copy; the hex of that
+    # leading byte may start with one surplus 0.
+    lead = n % 8
+    packed = bytes(np.packbits(bits[:lead]) >> (8 - lead)) + np.packbits(bits[lead:]).tobytes()
+    digits = packed.hex()
+    return f"{n}:{digits[len(digits) - (n + 3) // 4:]}"
 
 
 def _write_rows(path: Path, header, rows) -> None:
+    """Write a CSV report of one LF-ended line per row, cells joined by ``,``.
+
+    For rows of two or more cells this is csv.writer's output when no cell
+    needs quoting, and no report cell does: each is a number, a bool, an
+    enum spelling, an abort reason or hex.  A cell holding ``,``, ``"``,
+    CR or LF raises ValueError and removes the file.  Rows are written one
+    at a time, so a long curve is never held as one string.
+    """
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        try:
+            for row in itertools.chain((header,), rows):
+                cells = [_fmt(cell) for cell in row]
+                line = ",".join(cells)
+                if line.count(",") >= len(cells) or '"' in line or "\r" in line or "\n" in line:
+                    bad = next(cell for cell in cells if any(c in cell for c in ',"\r\n'))
+                    raise ValueError(f"{path.name}: report cell needs CSV quoting: {bad!r}")
+                fh.write(line + "\n")
+        except ValueError:
+            fh.close()
+            path.unlink()
+            raise
 
 
 # ---------------------------------------------------------------- curves

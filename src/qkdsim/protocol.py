@@ -101,6 +101,8 @@ class SessionConfig:
         check_seed(self.seed)
         check_range("cm_fraction", self.cm_fraction, 0, 1, "[)")
         check_range("d_pd_cm", self.d_pd_cm, 0, 0.5, "()")
+        check_type("channel", self.channel, ChannelSpec)
+        check_type("attack", self.attack, AttackSpec)
         check_type("enforce_cm_threshold", self.enforce_cm_threshold, bool)
         if self.attack.kind not in PROTOCOLS[self.protocol].attacks:
             raise ValueError(
@@ -597,7 +599,6 @@ _FIELD_TEXT = (
 )
 _FIELD_RADIX = tuple(len(text) for text in _FIELD_TEXT)
 _CSV_BLOCK_ROWS = 1 << 12
-_POW10 = 10 ** np.arange(1, 8)
 
 
 def _row_codes(cols: RoundColumns, pp: bool) -> np.ndarray:
@@ -617,7 +618,10 @@ def _csv_tables():
     """The writer's tables, built on first use so that import does not pay ~4 ms.
 
     Code c's text after the index, ``","`` + its fields + ``"\\n"``, is ``length[c]``
-    bytes, ``head[c]`` then ``tail[c]`` (padded); ``digits[k]`` is k in 4 ASCII digits.
+    bytes, ``head[c]`` then ``tail[c]`` (padded).  For k < 10**4, ``digits[k]`` is
+    k in 4 ASCII digits and ``short[k]`` is ``str(k)`` padded with spaces, both
+    uint32 words whose little-endian bytes are the text; ``short_width[k]`` is
+    ``len(str(k))``.
     """
     rows = ["," + ",".join(fields) + "\n" for fields in itertools.product(*_FIELD_TEXT)]
     length = np.array([len(row) for row in rows])
@@ -628,8 +632,10 @@ def _csv_tables():
                          np.uint8).reshape(len(rows), longest)
     head = text[:, :shortest].copy().view(f"V{shortest}")[:, 0]
     tail = text[:, shortest:].copy().view(f"V{longest - shortest}")[:, 0]
-    digits = np.frombuffer("".join(map("{:04}".format, range(10000))).encode("ascii"), "<u4")
-    return length, head, tail, digits.astype(np.uint64)
+    digits, short = (np.frombuffer("".join(map(spec.format, range(10000))).encode("ascii"),
+                                   "<u4") for spec in ("{:04}", "{:<4}"))
+    short_width = np.frombuffer(bytes(len(str(k)) for k in range(10000)), np.uint8)
+    return length, head, tail, digits, short, short_width
 
 
 def write_transcript_csv(transcript: Transcript, fileobj) -> None:
@@ -638,32 +644,43 @@ def write_transcript_csv(transcript: Transcript, fileobj) -> None:
     Writes ASCII bytes to a binary file, the same bytes as formatting each
     row on its own.  Row i is the digits of i (i < 10**8) and then the text
     of its field code, whose length a table gives, so one cumsum over a
-    block of rows places every row before any byte moves.  The block's
-    buffer is then filled by three fixed-width scatters through windows of
-    it, no two of one scatter overlapping: each tail, whose padding spills
-    into the next row's first bytes; the index, as 8 ASCII digits shifted
-    to the left; each head.  Every spill lands where a later scatter writes.
+    block of rows places every row before any byte moves.  A block holds at
+    most 2**12 rows and never crosses a multiple of 10**4, so its indices'
+    digits are table slices: below 10**4 a slice of ``str(k)`` words and
+    their widths, above it ``str(i // 10**4)`` then a slice of 4-digit
+    words, all of one width.  The block's buffer is then filled by three
+    fixed-width scatters through windows of it, no two of one scatter
+    overlapping: each tail, whose padding spills into the next row's first
+    bytes; the index, whose padding spills into its head; each head.  Every
+    spill lands where a later scatter writes.
     """
-    length, head, tail, digits = _csv_tables()
+    length, head, tail, digits, short, short_width = _csv_tables()
     cols = transcript.columns
     n = len(cols.cm)
     code = _row_codes(cols, transcript.config.protocol is ProtocolKind.PING_PONG)
     fileobj.write(_HEADER)
-    for start in range(0, n, _CSV_BLOCK_ROWS):
-        index = np.arange(start, min(start + _CSV_BLOCK_ROWS, n), dtype=np.uint32)
-        block = code[start:start + _CSV_BLOCK_ROWS]
-        ndigits = 1 + np.searchsorted(_POW10, index, side="right")
-        word = np.take(digits, index // 10000) | np.take(digits, index % 10000) << np.uint64(32)
-        word >>= (64 - 8 * ndigits).astype(np.uint64)
+    start = 0
+    while start < n:
+        top, lo = divmod(start, 10000)
+        stop = min(start + _CSV_BLOCK_ROWS, n, 10000 * (top + 1))
+        block, hi = code[start:stop], lo + stop - start
+        if top:
+            prefix = str(top).encode("ascii")
+            ndigits = len(prefix) + 4
+            word = digits[lo:hi] << np.uint64(8 * len(prefix)) | int.from_bytes(prefix, "little")
+        else:
+            ndigits, word = short_width[lo:hi], short[lo:hi]
         row_len = np.take(length, block) + ndigits
         end = np.cumsum(row_len)
         text_at = end - row_len + ndigits
         buf = np.empty(end[-1] + tail.itemsize, np.uint8)
         for cells, at in ((np.take(tail, block), text_at + head.itemsize),
-                          (word.view("V8"), text_at - ndigits), (np.take(head, block), text_at)):
+                          (word.view(f"V{word.itemsize}"), text_at - ndigits),
+                          (np.take(head, block), text_at)):
             width = cells.itemsize
             np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))[at] = cells
         fileobj.write(buf[:end[-1]])
+        start = stop
 
 
 def transcript_csv(transcript: Transcript) -> str:

@@ -87,6 +87,27 @@ def test_enum_and_bool_fields_take_only_their_type(build, field, value):
         build(**{field: value})
 
 
+def _session_scenario(**kw):
+    return Scenario("session", **{"seed": 1, **kw})
+
+
+@pytest.mark.parametrize("build, field, value", [
+    (_session, "channel", None),
+    (_session, "channel", LinkBudget()),
+    (_session, "attack", "mitm"),
+    (_session, "attack", None),
+    (_scenario, "link", None),
+    (_scenario, "link", ChannelSpec()),
+    (_scenario, "out_dir", 5),
+    (_scenario, "out_dir", None),
+    (_session_scenario, "session", "x"),
+    (_scenario, "session", AttackSpec()),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else None)
+def test_nested_fields_take_only_their_type(build, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be of type "):
+        build(**{field: value})
+
+
 @pytest.mark.parametrize("value", ["lm05", None, AttackKind.MITM_LM05])
 def test_protocol_takes_only_a_protocol_kind(value):
     with pytest.raises(ValueError, match="^protocol must be of type ProtocolKind"):

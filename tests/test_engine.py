@@ -151,11 +151,12 @@ FAMILIES = [
     (ProtocolKind.LM05, AttackKind.MITM_LM05),
     (ProtocolKind.PING_PONG, AttackKind.MITM_PING_PONG),
 ]
-# Where the index gains a digit, and where the writer's first, second,
-# fourth and eighth blocks end.
+# Where the index gains a digit, where the writer's blocks end at multiples
+# of 2**12 rows, and where they end at multiples of 10**4.
 EDGE_ROWS = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001,
              *(k * _CSV_BLOCK_ROWS + d for k in (1, 4) for d in (-1, 0, 1)),
-             2 * _CSV_BLOCK_ROWS + 1, 8 * _CSV_BLOCK_ROWS + 1]
+             2 * _CSV_BLOCK_ROWS + 1, 8 * _CSV_BLOCK_ROWS + 1,
+             *(k * 10000 + d for k in (2, 3) for d in (-1, 0, 1))]
 
 
 @pytest.fixture(scope="module", params=FAMILIES, ids=[p.value for p, _ in FAMILIES])
@@ -184,8 +185,9 @@ def test_csv_at_digit_and_block_edges(long_session, n):
 def test_csv_tables():
     """Each field code's table row is its text after the index, and the row
     lengths allow the writer's placement: a row of at least 1 + shortest
-    bytes holds an 8-byte digit cell and the previous tail's spill."""
-    length, head, tail, digits = _csv_tables()
+    bytes holds an 8-byte digit cell and the previous tail's spill.  The
+    digit tables hold k < 10**4 as 4 digits and as str(k) with its width."""
+    length, head, tail, digits, short, short_width = _csv_tables()
     assert len(length) == len(head) == len(tail) == math.prod(_FIELD_RADIX) == 1400
     for code in range(len(length)):
         ks = np.unravel_index(code, _FIELD_RADIX)
@@ -195,9 +197,12 @@ def test_csv_tables():
     shortest, longest = length.min(), length.max()
     assert head.itemsize == shortest and head.itemsize + tail.itemsize == longest
     assert tail.itemsize <= 1 + shortest and 8 <= 1 + shortest
-    assert digits.dtype == np.uint64 and (digits >> np.uint64(32) == 0).all()
-    text = "".join(f"{k:04}" for k in range(10000)).encode("ascii")
-    assert digits.astype("<u4").tobytes() == text
+    assert digits.dtype == short.dtype == np.dtype("<u4") and short_width.dtype == np.uint8
+    assert len(digits) == len(short) == len(short_width) == 10000
+    assert digits.tobytes() == "".join(f"{k:04}" for k in range(10000)).encode("ascii")
+    for k in range(10000):
+        assert short[k:k + 1].tobytes()[:short_width[k]] == str(k).encode("ascii"), k
+        assert short_width[k] == len(str(k)), k
 
 
 @pytest.mark.parametrize("protocol,attack_kind", FAMILIES,

@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import io
 import os
 import random
 import re
@@ -23,6 +24,8 @@ from qkdsim.harness.scenario import (
     MAX_GRID_POINTS,
     Scenario,
     ScenarioResult,
+    _fmt,
+    _write_rows,
     bits_to_hex,
     child_seed,
     parse_p_grid,
@@ -559,6 +562,45 @@ class TestHexSerialization:
         assert a == child_seed(123, 0)
         assert a != child_seed(123, 1)
         assert 0 <= a < 2 ** 64
+
+
+# One of every kind of cell a report holds: None, bools, Python and numpy
+# floats, ints, enum spellings, a threshold rule, an empty abort reason and
+# a 10**5-digit hex key.
+REPORT_CELLS = [None, True, False, 0.1, -2.5e-300, float("inf"), np.float64(1 / 3),
+                np.float64(0.0), 0, -7, 2 ** 64, np.int64(27778), "lm05", "mitm_lm05",
+                "MM+CM", "undefined", "d_cm < 0.05", "cm-threshold-exceeded", "",
+                f"400000:{random.Random(32).getrandbits(400000):0100000x}"]
+
+
+class TestWriteRows:
+    def test_matches_csv_writer(self, tmp_path):
+        """The report equals csv.writer's for every kind of report cell, in
+        rows of two cells (summary), three (curves) and the whole table."""
+        header = ["key", "value"]
+        rows = [[f"k{i}", cell] for i, cell in enumerate(REPORT_CELLS)]
+        rows += [REPORT_CELLS[i:i + 3] for i in range(len(REPORT_CELLS) - 2)]
+        rows += [REPORT_CELLS, REPORT_CELLS[::-1]]
+        path = tmp_path / "report.csv"
+        _write_rows(path, header, iter(rows))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        assert path.read_text(encoding="ascii") == want.getvalue()
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    @pytest.mark.parametrize("where", ["header", "row", "last"])
+    def test_cell_needing_quotes_raises_and_leaves_no_file(self, tmp_path, char, where):
+        bad = f"no{char}good"
+        header = ["key", bad if where == "header" else "value"]
+        rows = [["a", 1], ["b", bad if where == "row" else 2.5], ["c", True],
+                [bad if where == "last" else "d", None]]
+        path = tmp_path / "report.csv"
+        with pytest.raises(ValueError, match=re.escape(f"report.csv: report cell needs CSV "
+                                                       f"quoting: {bad!r}")):
+            _write_rows(path, header, rows)
+        assert not path.exists()
 
 
 class TestCurveScenarios:
