@@ -231,13 +231,11 @@ def estimate_disturbance(cols: RoundColumns, alice_key: np.ndarray,
                          bob_key: np.ndarray) -> DisturbanceEstimate:
     """Failure counts of the disclosed message sample, the received, valid
     control rounds and the sifted key pair; a round fails where ``sent != got``."""
-    received = ~cols.lost
-    sample = cols.disclosed & received
-    checked = cols.valid & cols.cm & received
+    checked = cols.valid & cols.cm & ~cols.lost
     failed = cols.sent != cols.got
     return DisturbanceEstimate(
-        int(np.count_nonzero(sample)),
-        int(np.count_nonzero(sample & failed)),
+        int(np.count_nonzero(cols.disclosed)),
+        int(np.count_nonzero(cols.disclosed & failed)),
         int(np.count_nonzero(checked)),
         int(np.count_nonzero(checked & failed)),
         int(np.count_nonzero(alice_key != bob_key)))
@@ -474,7 +472,7 @@ def _pp_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumns:
     act_bit, result = _select(cm, alice_bit, encoding), _select(cm, bob_bit, label)
     zeros = np.zeros(n, dtype=np.uint8)
     return RoundColumns(cm, zeros, zeros, alive_fwd, zeros, act_bit, zeros, result,
-                        ~alive_fwd | (~cm & ~alive_bwd), eve, _eve_bit(eve & ~cm, label),
+                        ~alive_fwd | (~cm & ~alive_bwd), eve, _eve_bit(eve, label),
                         act_bit, result ^ cm, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
 
 
