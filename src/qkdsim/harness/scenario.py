@@ -7,7 +7,6 @@ which round-trips exactly.
 """
 
 import itertools
-import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +37,11 @@ from ..protocol import (
     run_session,
     write_transcript_csv,
 )
+from ..stream import child_seed
+
+# The stream purpose of a session's privacy amplification: its hash spec is
+# drawn from child_seed(session seed, PA_PURPOSE), clear of the engine's 0-63.
+PA_PURPOSE = 0x70A
 
 # Most points of a curve grid or a presence grid.  Every point is a
 # Python float in memory and a row of the report.
@@ -129,14 +133,6 @@ def parse_p_grid(text: str) -> tuple[float, ...]:
     check_range("presence", lo, 0, 1)
     check_range("presence", hi, 0, 1)
     return (lo,) if n == 1 else _linspace(lo, hi, n)
-
-
-def child_seed(seed: int, salt: int) -> int:
-    """Derive an independent 64-bit stream seed (splitmix-style mix)."""
-    x = (seed + (salt + 1) * 0x9E3779B97F4A7C15) % 2 ** 64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) % 2 ** 64
-    return x ^ (x >> 31)
 
 
 def _fmt(value) -> str:
@@ -361,8 +357,8 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     if not aborted and len(key):
         eve_info = leaked_fraction(est, cfg)
         if eve_info is not None:
-            pa_rng = random.Random(child_seed(cfg.seed, 0x70A))
-            secret, spec = privacy_amplify(key, eve_info, DEFAULT_SAFETY_BITS, pa_rng)
+            secret, spec = privacy_amplify(key, eve_info, DEFAULT_SAFETY_BITS,
+                                           child_seed(cfg.seed, PA_PURPOSE))
             summary.append(("pa_eve_info", eve_info))
             summary.append(("pa_output_length", spec.output_len if spec else 0))
             summary.append(("secret_key_hex", bits_to_hex(secret)))

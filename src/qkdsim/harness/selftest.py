@@ -273,12 +273,11 @@ def _check_pa_futility() -> CheckResult:
     transcript, _ = _session(_mitm_config(ProtocolKind.LM05, 1.0))
     copy_ok = np.array_equal(transcript.eve_key, transcript.alice_key)
     zero_k = choose_output_length(len(transcript.alice_key), 1.0, 32)
-    secret_blocked, spec_blocked = privacy_amplify(
-        transcript.alice_key, 1.0, 32, random.Random(_SEED))
+    secret_blocked, spec_blocked = privacy_amplify(transcript.alice_key, 1.0, 32, _SEED)
     blocked_ok = zero_k == 0 and not len(secret_blocked) and spec_blocked.output_len == 0
     # With any positive output length, hashing Eve's copy with the public
     # spec reproduces the secret key exactly.
-    secret, spec = privacy_amplify(transcript.alice_key, 0.5, 32, random.Random(_SEED))
+    secret, spec = privacy_amplify(transcript.alice_key, 0.5, 32, _SEED)
     leak_ok = (copy_ok and spec.output_len > 0
                and np.array_equal(universal_hash(transcript.eve_key, spec), secret))
     ok = copy_ok and blocked_ok and leak_ok
@@ -303,7 +302,7 @@ def _check_hash_properties() -> CheckResult:
     """The hash family is deterministic, linear over XOR and collision-free at k=32."""
     rng = random.Random(_SEED)
     m, k = 64, 32
-    spec = random_hash_spec(m, k, rng)
+    spec = random_hash_spec(m, k, _SEED)
     x = bit_rows([rng.getrandbits(m)], m)[0]
     determinism = np.array_equal(universal_hash(x, spec), universal_hash(x, spec))
 
@@ -315,7 +314,7 @@ def _check_hash_properties() -> CheckResult:
 
     trials = []
     for _ in range(100000):
-        diagonals = rng.getrandbits(m + k - 1)  # the draw random_hash_spec makes
+        diagonals = rng.getrandbits(m + k - 1)  # a uniformly drawn member's diagonals
         xa = rng.getrandbits(m)
         xb = rng.getrandbits(m)
         while xb == xa:

@@ -25,13 +25,13 @@ eavesdropper already holds.
 """
 
 import math
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_range
+from . import stream
+from .checks import check_range, check_seed
 
 NO_PRIVACY_REASON = "no-extractable-privacy"
 
@@ -54,9 +54,17 @@ def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
 
 
 def check_bits(bits: np.ndarray, name: str) -> np.ndarray:
-    """``bits`` as a uint8 array; ValueError when a value is not 0 or 1."""
+    """``bits`` as a uint8 array; ValueError when a value is not 0 or 1.
+
+    An integer or bool array is checked by its minimum and maximum, two
+    passes with no temporary array; any other kind value by value.
+    """
     bits = np.asarray(bits)
-    if np.any((bits != 0) & (bits != 1)):
+    if bits.dtype.kind in "biu":
+        binary = not bits.size or (bits.dtype.kind != "i" or bits.min() >= 0) and bits.max() <= 1
+    else:
+        binary = not np.any((bits != 0) & (bits != 1))
+    if not binary:
         raise ValueError(f"{name} must contain only 0 and 1")
     return bits.astype(np.uint8, copy=False)
 
@@ -86,11 +94,18 @@ class HashSpec:
         object.__setattr__(self, "seed_bits", seed)
 
 
-def random_hash_spec(input_len: int, output_len: int, rng: random.Random) -> HashSpec:
-    """Draw a uniformly random family member: its diagonals are one
-    ``rng.getrandbits(m + k - 1)``, most significant bit first."""
+def random_hash_spec(input_len: int, output_len: int, seed: int) -> HashSpec:
+    """A uniformly random family member, drawn from the stream keyed by
+    ``seed`` (see :mod:`qkdsim.stream`).
+
+    Its m + k - 1 diagonals are the stream's first bits: diagonal j is bit
+    j % 64 of word j // 64.  Equal seeds give equal specs, so two peers that
+    share a seed share the matrix.  ValueError when ``seed`` is not a
+    64-bit integer.
+    """
+    check_seed(seed)
     n = max(input_len + output_len - 1, 0)
-    return HashSpec(input_len, output_len, bit_rows([rng.getrandbits(n)], n)[0])
+    return HashSpec(input_len, output_len, stream.bits(stream.block(seed, 0, (n + 63) // 64), n))
 
 
 def _fft_length(t: int) -> int:
@@ -170,9 +185,9 @@ def universal_hash(x: np.ndarray, spec: HashSpec) -> np.ndarray:
                             spec.output_len)[0]
 
 
-def ec_verify(alice_key: np.ndarray, bob_key: np.ndarray, check_len: int,
-              rng: random.Random) -> bool:
-    """Compare check_len-bit hashes of the two keys under a shared spec.
+def ec_verify(alice_key: np.ndarray, bob_key: np.ndarray, check_len: int, seed: int) -> bool:
+    """Compare check_len-bit hashes of the two keys under the spec drawn
+    from ``seed`` (see :func:`random_hash_spec`).
 
     True means the keys agree except with probability at most
     2^-check_len.  Empty keys verify as False (nothing to confirm).
@@ -181,7 +196,7 @@ def ec_verify(alice_key: np.ndarray, bob_key: np.ndarray, check_len: int,
         raise ValueError(f"key length mismatch: {len(alice_key)} != {len(bob_key)}")
     if not len(alice_key):
         return False
-    spec = random_hash_spec(len(alice_key), min(check_len, len(alice_key)), rng)
+    spec = random_hash_spec(len(alice_key), min(check_len, len(alice_key)), seed)
     return np.array_equal(universal_hash(alice_key, spec), universal_hash(bob_key, spec))
 
 
@@ -198,17 +213,18 @@ def choose_output_length(m: int, eve_info: float, safety: int = DEFAULT_SAFETY_B
 
 
 def privacy_amplify(key: np.ndarray, eve_info: float, safety: int,
-                    rng: random.Random) -> tuple[np.ndarray, HashSpec | None]:
-    """Compress a raw key through a hash spec drawn from ``rng``.
+                    seed: int) -> tuple[np.ndarray, HashSpec | None]:
+    """Compress a raw key through the hash spec drawn from ``seed`` (see
+    :func:`random_hash_spec`).
 
     Returns the secret key and the spec, so the peer (who holds the same
     raw key) can compute the identical output.  A zero output length
     yields an empty key; callers report that as NO_PRIVACY_REASON.  The
-    caller supplies a seeded rng: there is no wall-clock seeding.
+    caller supplies the seed: there is no wall-clock seeding.
     """
     m = len(key)
     if m == 0:
         return np.zeros(0, dtype=np.uint8), None
     k = choose_output_length(m, eve_info, safety)
-    spec = random_hash_spec(m, k, rng)
+    spec = random_hash_spec(m, k, seed)
     return universal_hash(key, spec), spec

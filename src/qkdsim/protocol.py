@@ -36,7 +36,6 @@ import functools
 import io
 import itertools
 import math
-import random
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -48,6 +47,7 @@ from .adversary import AttackKind, AttackSpec, BasisPolicy
 from .channel import ChannelSpec
 from .checks import check_range, check_seed, check_type
 from .infotheory import DEFAULT_D_PD_CM, eve_info_mitm, mutual_info_ae
+from . import stream
 from .postproc import MAX_HASH_INPUT_BITS
 
 # Placeholders: perfbench/tracing.py wraps these names, nothing calls them,
@@ -243,76 +243,93 @@ def estimate_disturbance(cols: RoundColumns, alice_key: np.ndarray,
 
 # ---------------------------------------------------------------- kernels
 
+# Stream purposes (see qkdsim.stream): each column a session draws reads
+# the stream of its own purpose, so a new column moves no other's draws.
+# Fair coins take 0-11 and Bernoulli columns 12-19 (20-31 are free); a
+# Bernoulli purpose P settles its ties from purpose P + _TIE.
+(_PREP_BASIS, _PREP_BIT, _EVE_BASIS, _EVE_READ, _DECOY_BASIS, _DECOY_BIT, _ENCODING,
+ _CM_BASIS, _CM_READ, _DECOY_READ, _BOB_BASIS, _RESULT_READ,
+ _CM, _EVE, _ALIVE_OUT, _FLIP_OUT, _ALIVE_BACK, _FLIP_BACK, _KEEP, _DISCLOSE) = range(20)
+_N_COINS, _TIE, _N_PURPOSES = _CM, 32, 64
+_PASS_ROUNDS = 1 << 15  # rounds per pass of a Bernoulli block: bounds its temporaries
+
+
 class _Draws:
-    """Bulk draws for one session, n rounds at a time, from its rng.
+    """A session's n-round columns, each from the stream of its purpose.
 
-    A Bernoulli(p) is u < p for a uniform u = k / 2**53, evaluated
-    exactly as k < T with T = ceil(p * 2**53), so p = 0 never fires and
-    p = 1 always does; a constant p of 0 or 1 draws nothing.  ``p`` may
-    be picked per round from a few values.  See :meth:`bernoulli`.
+    The purposes' keys are words 0-63 of the session seed's stream, one
+    mix.  A fair-coin column is its purpose's bits, bit i % 64 of word
+    i // 64 in round i.  A short session (one pass) draws and unpacks all
+    of them in its first Bernoulli block's mix; a long one draws each when
+    asked, so that no unused column is held.
     """
 
-    def __init__(self, rng: random.Random, n: int):
-        self._rng = rng
+    def __init__(self, seed: int, n: int):
         self.n = n
+        self._keys = stream.block(seed, 0, _N_PURPOSES)
+        self._coins = None
 
-    def _bytes(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._rng.randbytes(count), dtype=np.uint8)
+    def bits(self, purpose: int) -> np.ndarray:
+        if self._coins is None:
+            return stream.bits(stream.block(self._keys[purpose], 0, (self.n + 63) // 64), self.n)
+        return self._coins[purpose]
 
-    def bits(self) -> np.ndarray:
-        raw = self._bytes((self.n + 7) // 8)
-        return np.unpackbits(raw, count=self.n, bitorder="little")
+    def bernoulli(self, *columns, index=None) -> list[np.ndarray]:
+        """One exact coin per round for each ``(purpose, p)`` column.
 
-    def bernoulli(self, p, index=None) -> np.ndarray:
-        """One coin per round, about one stream byte each (Knuth & Yao).
-
-        Each coin compares a 56-bit uniform V with 8 * T one byte at a
-        time, most significant first; floor(V / 8) is uniform on
-        [0, 2**53), so V < 8 * T is exactly k < T.  Every round draws its
-        first byte, in one ``randbytes(n)``; the rounds whose bytes so far
-        all equal the threshold's then draw their next byte together, in
-        round order, and so on for up to seven bytes.  A coin costs
-        1 + 1/255 bytes on average.  With ``index``, ``p`` is a short
-        sequence and round i uses p[index[i]].
+        A coin is V < 8 * T with T = ceil(p * 2**53) for a 56-bit uniform
+        V: floor(V / 8) is uniform on [0, 2**53), so p = 0 never fires and
+        p = 1 always does.  V's top byte is byte i % 8 of word i // 8 of the
+        purpose, compared with t, the top byte of 8 * T capped at 255.  Only
+        where the two are equal, one round in 256, is V's low part read: the
+        top 48 bits of word i of the tie purpose, against 8 * T - t * 2**48
+        (2**48 where p = 1).  In passes of ``_PASS_ROUNDS`` rounds, the first
+        bytes of all columns come from one mix and all their ties from one
+        more.  A constant p of 0 or 1 draws nothing.  With ``index``, each p
+        is a short sequence and round i uses p[index[i]].
         """
-        if index is None:
-            if p in (0.0, 1.0):
-                return np.full(self.n, p == 1.0)
-            limbs = _threshold_limbs(p)  # Python ints keep every comparison in uint8
-        else:  # one row per limb; uint16 holds the top limb 256 of a p of 1
-            limbs = np.array([_threshold_limbs(q) for q in p], dtype=np.uint16).T
-        top = limbs[0] if index is None else limbs[0][index]
-        byte = self._bytes(self.n)
-        out = byte < top
-        tied = np.flatnonzero(byte == top)
-        for limb in limbs[1:]:
-            if not tied.size:
-                break
-            if index is not None:
-                limb = limb[index[tied]]
-            byte = self._bytes(tied.size)
-            out[tied[byte < limb]] = True
-            tied = tied[byte == limb]
-        return out
+        n = self.n
+        certain, purposes, top, low = _plan(columns, index is not None)
+        coins = [None if p is None else (np.ones if p else np.zeros)(n, bool) for p in certain]
+        if purposes is None:
+            return coins
+        keys, top = self._keys[purposes, None], top if index is None else top[:, index]
+        out = np.empty((len(purposes), n), dtype=bool)
+        for lo in range(0, n, _PASS_ROUNDS):
+            hi = min(lo + _PASS_ROUNDS, n)
+            if self._coins is None and n <= _PASS_ROUNDS:
+                first, coins_words = stream.blocks((keys, 0, (n + 7) // 8),
+                                                   (self._keys[:_N_COINS, None], 0, (n + 63) // 64))
+                self._coins = stream.bits(coins_words, n)
+            else:
+                first = stream.block(keys, lo // 8, (hi + 7) // 8)
+            first, coin = first.view(np.uint8)[:, :hi - lo], out[:, lo:hi]
+            threshold = top if index is None else top[:, lo:hi]
+            np.less(first, threshold, out=coin)
+            row, col = np.divmod((first == threshold).ravel().nonzero()[0], hi - lo)
+            if row.size:
+                tail = stream.words(self._keys[purposes[row] + _TIE], col + lo) >> 16
+                coin[row, col] = tail < low[row, 0 if index is None else index[col + lo]]
+        # A long session copies its columns out, so one the kernel drops is freed.
+        rows = iter(out) if n <= _PASS_ROUNDS else map(np.copy, out)
+        return [next(rows) if coin is None else coin for coin in coins]
 
 
-def _threshold_limbs(p: float) -> list[int]:
-    """The seven bytes of 8 * ceil(p * 2**53), most significant first.  The
-    top byte is not masked: where p = 1 it is 256, above every draw."""
-    threshold = 8 * math.ceil(p * 2 ** 53)
-    return [threshold >> 48, *(threshold >> shift & 0xFF for shift in (40, 32, 24, 16, 8, 0))]
-
-
-def _traverse(draws: _Draws, spec: ChannelSpec, legs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Survival and net bit flip of the carriers over ``legs`` channel legs.
-
-    Each leg passes with probability t and flips with probability f, so
-    all legs pass with probability t**legs and an odd number of flips
-    happens with probability (1 - (1 - 2f)**legs) / 2.
-    """
-    alive = draws.bernoulli(spec.transmittance_per_leg ** legs)
-    flip = draws.bernoulli((1.0 - (1.0 - 2.0 * spec.flip_prob) ** legs) / 2.0)
-    return alive, flip
+@functools.lru_cache(maxsize=1024)
+def _plan(columns: tuple, indexed: bool) -> tuple:
+    """For :meth:`_Draws.bernoulli`: each column's certain coin (p == 1 for a
+    constant p of 0 or 1, else None), then the drawn columns' purposes and,
+    for each p (a tuple of them if ``indexed``), t = the top byte of
+    8 * ceil(p * 2**53) capped at 255 (uint8) and the rest below t * 2**48."""
+    certain = [None if indexed or p not in (0.0, 1.0) else p == 1.0 for _, p in columns]
+    drawn = [column for column, coin in zip(columns, certain) if coin is None]
+    if not drawn:
+        return certain, None, None, None
+    thresholds = np.array([[8 * math.ceil(q * 2 ** 53) for q in (p if indexed else (p,))]
+                           for _, p in drawn], dtype=np.uint64)
+    top = np.minimum(thresholds >> np.uint64(48), 255)
+    return (certain, np.array([purpose for purpose, _ in drawn]), top.astype(np.uint8),
+            thresholds - (top << np.uint64(48)))
 
 
 def _select(cond, a, b) -> np.ndarray:
@@ -325,15 +342,23 @@ def _eve_bit(engaged, bit) -> np.ndarray:
     return (engaged.view(np.int8) - 1) | bit.view(np.int8)
 
 
-def _measure(draws: _Draws, basis, carrier_basis, carrier_bit) -> np.ndarray:
+def _measure(draws: _Draws, purpose: int, basis, carrier_basis, carrier_bit) -> np.ndarray:
     """Outcomes in ``basis``: the carrier bit on a basis match, else a fair coin."""
-    return _select(basis ^ carrier_basis, draws.bits(), carrier_bit)
+    return _select(basis ^ carrier_basis, draws.bits(purpose), carrier_bit)
 
 
-def _engaged(attack: AttackSpec, draws: _Draws) -> np.ndarray:
-    if attack.kind is AttackKind.NO_ATTACK:
-        return np.zeros(draws.n, dtype=bool)
-    return draws.bernoulli(attack.presence)
+def _session_coins(cfg: SessionConfig, draws: _Draws, legs: int, back: bool) -> list:
+    """A session's Bernoulli columns in one block: control mode (none for
+    BB84), Eve's presence, survival and net flip over ``legs`` legs out
+    (and, with ``back``, as many back) and the disclosure coin.  All legs
+    pass with probability t**legs, and an odd number of the legs' flips
+    happens with probability (1 - (1 - 2f)**legs) / 2."""
+    t = cfg.channel.transmittance_per_leg ** legs
+    f = (1.0 - (1.0 - 2.0 * cfg.channel.flip_prob) ** legs) / 2.0
+    cm = 0.0 if cfg.protocol is ProtocolKind.BB84 else cfg.cm_fraction
+    eve = 0.0 if cfg.attack.kind is AttackKind.NO_ATTACK else cfg.attack.presence
+    channel = ((_ALIVE_OUT, t), (_FLIP_OUT, f)) + (((_ALIVE_BACK, t), (_FLIP_BACK, f)) if back else ())
+    return draws.bernoulli((_CM, cm), (_EVE, eve), *channel, (_DISCLOSE, DISCLOSE_FRACTION))
 
 
 def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit):
@@ -360,13 +385,13 @@ def _forward_attack(attack: AttackSpec, draws: _Draws, eve, basis, bit):
         elif attack.basis_policy is BasisPolicy.FIXED_X:
             eve_basis = np.ones(draws.n, dtype=np.uint8)
         else:
-            eve_basis = draws.bits()
-        outcome = _measure(draws, eve_basis, basis, bit)
+            eve_basis = draws.bits(_EVE_BASIS)
+        outcome = _measure(draws, _EVE_READ, eve_basis, basis, bit)
         return (_select(eve, eve_basis, basis), _select(eve, outcome, bit),
                 _eve_bit(eve, outcome))
     no_bit = np.full(draws.n, -1, dtype=np.int8)
     if kind is AttackKind.ANCILLA_UBE:
-        keep = draws.bernoulli((attack.f0, attack.f_plus), index=basis)
+        keep, = draws.bernoulli((_KEEP, (attack.f0, attack.f_plus)), index=basis)
         return basis, bit ^ (eve & ~keep), no_bit
     return basis, bit, no_bit
 
@@ -380,23 +405,17 @@ def _one_way_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumn
     the preparation.
     """
     n = draws.n
-    if cfg.protocol is ProtocolKind.BB84:
-        cm = np.zeros(n, dtype=bool)
-        prep_basis = draws.bits()
-    else:
-        # Control rounds are the diagonal-basis rounds.
-        cm = draws.bernoulli(cfg.cm_fraction)
-        prep_basis = cm.astype(np.uint8)
-    prep_bit = draws.bits()
-    eve = _engaged(cfg.attack, draws)
+    cm, eve, alive, flip, disclose = _session_coins(cfg, draws, legs, back=False)
+    # mcasBB84's control rounds are its diagonal-basis rounds.
+    prep_basis = draws.bits(_PREP_BASIS) if cfg.protocol is ProtocolKind.BB84 else cm.view(np.uint8)
+    prep_bit = draws.bits(_PREP_BIT)
     basis, bit, eve_bit = _forward_attack(cfg.attack, draws, eve, prep_basis, prep_bit)
-    alive, flip = _traverse(draws, cfg.channel, legs)
-    bob_basis = draws.bits()
-    result = _measure(draws, bob_basis, basis, bit ^ flip)
+    bob_basis = draws.bits(_BOB_BASIS)
+    result = _measure(draws, _RESULT_READ, bob_basis, basis, bit ^ flip)
     zeros = np.zeros(n, dtype=np.uint8)
     return RoundColumns(cm, prep_basis, prep_bit, np.zeros(n, dtype=bool), zeros, zeros,
                         bob_basis, result, ~alive, eve, eve_bit, prep_bit, result,
-                        bob_basis == prep_basis, np.zeros(n, dtype=bool))
+                        bob_basis == prep_basis, disclose)
 
 
 def _lm05_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumns:
@@ -405,43 +424,40 @@ def _lm05_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumns:
     the encoder's announced basis equals the preparer's, and fails when
     the announced outcome differs from the prepared bit.
     """
-    n = draws.n
-    half = legs // 2  # legs each way
-    prep_basis, prep_bit = draws.bits(), draws.bits()
-    cm = draws.bernoulli(cfg.cm_fraction)
+    cm, eve, alive_fwd, flip_fwd, alive_bwd, flip_bwd, disclose = _session_coins(
+        cfg, draws, legs // 2, back=True)
+    prep_basis, prep_bit = draws.bits(_PREP_BASIS), draws.bits(_PREP_BIT)
     attack = cfg.attack
     copy = attack.kind is AttackKind.MITM_LM05
-    eve = _engaged(attack, draws)
     basis, bit, eve_bit = _forward_attack(attack, draws, eve, prep_basis, prep_bit)
     if copy:
         # Eve parks the genuine carrier and sends a random decoy instead.
-        decoy_basis, decoy_bit = draws.bits(), draws.bits()
+        decoy_basis, decoy_bit = draws.bits(_DECOY_BASIS), draws.bits(_DECOY_BIT)
         basis = _select(eve, decoy_basis, basis)
         bit = _select(eve, decoy_bit, bit)
-    alive_fwd, flip = _traverse(draws, cfg.channel, half)
-    bit = bit ^ flip
+    bit = bit ^ flip_fwd
     # Message rounds apply I or iY (iY toggles the bit in either basis);
     # control rounds measure in a random basis, announce and re-prepare.
-    encoding = draws.bits()
-    cm_basis = draws.bits()
-    cm_bit = _measure(draws, cm_basis, basis, bit)
+    encoding = draws.bits(_ENCODING)
+    cm_basis = draws.bits(_CM_BASIS)
+    cm_bit = _measure(draws, _CM_READ, cm_basis, basis, bit)
     bit = _select(cm, cm_bit, bit ^ encoding)
     basis = _select(cm, cm_basis, basis)
-    alive_bwd, flip = _traverse(draws, cfg.channel, half)
-    bit = bit ^ flip
+    bit = bit ^ flip_bwd
+    del flip_fwd, flip_bwd  # free them before the last columns
     if copy:
         # She reads the encoding off the returned decoy and replays it
         # onto the stored carrier, which travels no further fiber.
-        inferred = _measure(draws, decoy_basis, basis, bit) ^ decoy_bit
+        inferred = _measure(draws, _DECOY_READ, decoy_basis, basis, bit) ^ decoy_bit
         eve_bit = _eve_bit(eve, inferred)
         basis = _select(eve, prep_basis, basis)
         bit = _select(eve, prep_bit ^ inferred, bit)
-    result = _measure(draws, prep_basis, basis, bit)
+    result = _measure(draws, _RESULT_READ, prep_basis, basis, bit)
     return RoundColumns(cm, prep_basis, prep_bit, alive_fwd, cm_basis,
-                        _select(cm, cm_bit, encoding), np.zeros(n, dtype=np.uint8), result,
+                        _select(cm, cm_bit, encoding), np.zeros(draws.n, dtype=np.uint8), result,
                         ~(alive_fwd & alive_bwd), eve, eve_bit,
                         _select(cm, prep_bit, encoding), _select(cm, cm_bit, result ^ prep_bit),
-                        ~cm | (cm_basis == prep_basis), np.zeros(n, dtype=bool))
+                        ~cm | (cm_basis == prep_basis), disclose)
 
 
 def _pp_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumns:
@@ -458,22 +474,20 @@ def _pp_kernel(cfg: SessionConfig, draws: _Draws, legs: int) -> RoundColumns:
     stored genuine pair hands the preparer the very same label.
     """
     n = draws.n
-    half = legs // 2  # legs each way
-    cm = draws.bernoulli(cfg.cm_fraction)
-    eve = _engaged(cfg.attack, draws)
-    alive_fwd, flip_fwd = _traverse(draws, cfg.channel, half)
-    encoding = draws.bits()
-    alive_bwd, flip_bwd = _traverse(draws, cfg.channel, half)
+    cm, eve, alive_fwd, flip_fwd, alive_bwd, flip_bwd, disclose = _session_coins(
+        cfg, draws, legs // 2, back=True)
+    encoding = draws.bits(_ENCODING)
     label = encoding ^ flip_fwd ^ flip_bwd
+    del flip_fwd, flip_bwd  # free them before the last columns
     # A genuine pair anticorrelates in Z (either label); with a decoy in
     # the line the two halves belong to different pairs and are independent.
-    alice_bit = draws.bits()
-    bob_bit = _select(eve, draws.bits(), alice_bit ^ 1)
+    alice_bit = draws.bits(_CM_READ)
+    bob_bit = _select(eve, draws.bits(_RESULT_READ), alice_bit ^ 1)
     act_bit, result = _select(cm, alice_bit, encoding), _select(cm, bob_bit, label)
     zeros = np.zeros(n, dtype=np.uint8)
     return RoundColumns(cm, zeros, zeros, alive_fwd, zeros, act_bit, zeros, result,
                         ~alive_fwd | (~cm & ~alive_bwd), eve, _eve_bit(eve, label),
-                        act_bit, result ^ cm, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
+                        act_bit, result ^ cm, np.ones(n, dtype=bool), disclose)
 
 
 # ---------------------------------------------------------------- protocol table
@@ -567,12 +581,11 @@ def run_session(cfg: SessionConfig) -> Transcript:
     transcript bit for bit.  A session that loses every round aborts as
     "no-yield", with empty keys and no estimate.
     """
-    draws = _Draws(random.Random(cfg.seed), cfg.n_rounds)
     row = PROTOCOLS[cfg.protocol]
-    cols = row.kernel(cfg, draws, row.legs)
-    # Disclose a sample of the sifted bits for the message-mode estimate;
-    # disclosed rounds are dropped from the key.
-    cols.disclosed = _message_rounds(cols) & draws.bernoulli(DISCLOSE_FRACTION)
+    cols = row.kernel(cfg, _Draws(cfg.seed, cfg.n_rounds), row.legs)
+    # A kernel returns the disclosure coin: it discloses a sample of the
+    # sifted bits for the message-mode estimate, which leaves the key.
+    cols.disclosed &= _message_rounds(cols)
 
     alice_key, bob_key, eve_key = sift(cols)
     est = estimate_disturbance(cols, alice_key, bob_key)

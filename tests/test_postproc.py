@@ -14,12 +14,14 @@ from qkdsim.postproc import (
     _fft_length,
     _toeplitz_parity,
     bit_rows,
+    check_bits,
     choose_output_length,
     ec_verify,
     privacy_amplify,
     random_hash_spec,
     universal_hash,
 )
+from qkdsim.stream import child_seed
 
 
 def hash_oracle(x, spec):
@@ -72,6 +74,32 @@ class TestBitRows:
                 assert "".join(map(str, row)) == (f"{value:0{width}b}" if width else "")
 
 
+class TestCheckBits:
+    @pytest.mark.parametrize("values, dtype", [
+        ([0, 1, 2], np.uint8), ([1, 0, -1], np.int8), ([0, 0.5], np.float64),
+        ([1, 256], np.uint16), ([-1, 0], np.int64), ([2], np.int64), ([1.0, 2.0], np.float32)])
+    def test_rejects_every_other_value(self, values, dtype):
+        with pytest.raises(ValueError, match="key must contain only 0 and 1"):
+            check_bits(np.array(values, dtype), "key")
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, np.uint64, bool, np.float64])
+    def test_accepts_zeros_and_ones(self, dtype):
+        for values in ([], [0], [1], [1, 0, 1, 1]):
+            got = check_bits(np.array(values, dtype), "key")
+            assert got.dtype == np.uint8 and got.tolist() == [int(v) for v in values]
+
+    def test_uint8_check_allocates_no_copy(self):
+        """A uint8 key is checked in place: no temporary of its length."""
+        key = np.ones(1 << 20, np.uint8)
+        check_bits(key, "key")
+        tracemalloc.start()
+        try:
+            assert check_bits(key, "key") is key
+            assert tracemalloc.get_traced_memory()[1] < 4096
+        finally:
+            tracemalloc.stop()
+
+
 class TestFftLength:
     def test_smallest_smooth_length(self):
         """The smallest 2^a * 3^b * 5^c >= t, by brute force."""
@@ -109,12 +137,18 @@ class TestHashSpec:
                           universal_hash(bits("101"), spec))
 
     def test_random_spec_shape(self):
-        spec = random_hash_spec(16, 8, random.Random(0))
-        assert spec.input_len == 16 and spec.output_len == 8
-        assert len(spec.seed_bits) == 23 and spec.seed_bits.dtype == np.uint8
-        # The diagonals are one getrandbits draw, most significant bit first.
-        value = random.Random(0).getrandbits(23)
-        assert "".join(map(str, spec.seed_bits)) == f"{value:023b}"
+        for seed in (0, 5, 2 ** 64 - 1):
+            spec = random_hash_spec(80, 16, seed)
+            assert spec.input_len == 80 and spec.output_len == 16
+            assert len(spec.seed_bits) == 95 and spec.seed_bits.dtype == np.uint8
+            # Diagonal j is bit j % 64 of word j // 64 of the seed's stream.
+            words = [child_seed(seed, i) for i in range(2)]
+            assert spec.seed_bits.tolist() == [words[j // 64] >> (j % 64) & 1 for j in range(95)]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.0, True])
+    def test_spec_seed_is_a_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a 64-bit integer"):
+            random_hash_spec(16, 8, seed)
 
 
 class TestUniversalHash:
@@ -123,16 +157,16 @@ class TestUniversalHash:
         for _ in range(50):
             m = rng.randrange(1, 40)
             k = rng.randrange(0, m + 1)
-            spec = random_hash_spec(m, k, rng)
+            spec = random_hash_spec(m, k, rng.getrandbits(64))
             x = random_bits(rng, m)
             assert_bits_equal(universal_hash(x, spec), hash_oracle(x, spec))
 
     def test_zero_output_length(self):
-        spec = random_hash_spec(8, 0, random.Random(2))
+        spec = random_hash_spec(8, 0, 2)
         assert_bits_equal(universal_hash(bits("10110010"), spec), bits(""))
 
     def test_equal_inputs_equal_hashes(self):
-        spec = random_hash_spec(32, 16, random.Random(3))
+        spec = random_hash_spec(32, 16, 3)
         x = random_bits(random.Random(4), 32)
         assert np.array_equal(universal_hash(x, spec), universal_hash(x, spec))
 
@@ -141,7 +175,7 @@ class TestUniversalHash:
         assert_bits_equal(universal_hash(bits("11111111"), spec), bits("0000"))
 
     def test_length_mismatch_rejected(self):
-        spec = random_hash_spec(8, 4, random.Random(5))
+        spec = random_hash_spec(8, 4, 5)
         with pytest.raises(ValueError):
             universal_hash(bits("101"), spec)
 
@@ -149,7 +183,7 @@ class TestUniversalHash:
         """hash(x xor y) = hash(x) xor hash(y) for the matrix family."""
         rng = random.Random(6)
         m, k = 64, 32
-        trials = [(random_hash_spec(m, k, rng), random_bits(rng, m), random_bits(rng, m))
+        trials = [(random_hash_spec(m, k, rng.getrandbits(64)), random_bits(rng, m), random_bits(rng, m))
                   for _ in range(2000)]
         specs, xs, ys = zip(*trials)
         seeds, a, b = np.stack([s.seed_bits for s in specs]), np.stack(xs), np.stack(ys)
@@ -159,7 +193,7 @@ class TestUniversalHash:
     def test_batch_kernel_matches_universal_hash(self):
         rng = random.Random(17)
         for m, k in ((1, 1), (5, 3), (64, 32), (100, 100), (257, 1)):
-            specs = [random_hash_spec(m, k, rng) for _ in range(20)]
+            specs = [random_hash_spec(m, k, rng.getrandbits(64)) for _ in range(20)]
             xs = [random_bits(rng, m) for _ in range(20)]
             rows = _toeplitz_parity(np.stack([s.seed_bits for s in specs]), np.stack(xs), m, k)
             assert np.array_equal(rows, [universal_hash(x, s) for x, s in zip(xs, specs)])
@@ -168,7 +202,7 @@ class TestUniversalHash:
     def test_matches_direct_convolution(self, m):
         rng = random.Random(m)
         for k in (1, m // 2, m):
-            spec = random_hash_spec(m, k, rng)
+            spec = random_hash_spec(m, k, rng.getrandbits(64))
             x = random_bits(rng, m)
             assert_bits_equal(universal_hash(x, spec), convolve_oracle(x, spec))
 
@@ -179,7 +213,7 @@ class TestUniversalHash:
         and a prime."""
         rng = random.Random(t)
         k = 1000
-        spec = random_hash_spec(t - k + 1, k, rng)
+        spec = random_hash_spec(t - k + 1, k, rng.getrandbits(64))
         x = random_bits(rng, spec.input_len)
         assert_bits_equal(universal_hash(x, spec), convolve_oracle(x, spec))
 
@@ -199,7 +233,7 @@ class TestUniversalHash:
         product overwrites one, and it is freed before the rounding."""
         m, k = 20000, 18968
         rng = random.Random(20)
-        spec = random_hash_spec(m, k, rng)
+        spec = random_hash_spec(m, k, rng.getrandbits(64))
         x = random_bits(rng, m)
         n = _fft_length(m + k - 1)
 
@@ -225,19 +259,19 @@ class TestUniversalHash:
     def test_non_binary_input_rejected(self, x, k):
         """Each character as its code point minus ord('0'): '?' is 15, '2'
         is 2, ' ' is -16, '/' is -1 and 'é' is 185."""
-        spec = random_hash_spec(4, k, random.Random(18))
+        spec = random_hash_spec(4, k, 18)
         with pytest.raises(ValueError):
             universal_hash(np.array([ord(c) - ord("0") for c in x]), spec)
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("i", range(len(NON_BINARY)))
     def test_non_binary_array_rejected(self, i, k):
-        spec = random_hash_spec(4, k, random.Random(18))
+        spec = random_hash_spec(4, k, 18)
         with pytest.raises(ValueError, match="only 0 and 1"):
             universal_hash(NON_BINARY[i], spec)
 
     def test_text_rejected(self):
-        spec = random_hash_spec(4, 2, random.Random(18))
+        spec = random_hash_spec(4, 2, 18)
         with pytest.raises(ValueError):
             universal_hash("1011", spec)
 
@@ -250,7 +284,7 @@ class TestVerify:
         m, k = 64, 32
         trials = []
         for _ in range(20000):
-            spec = random_hash_spec(m, k, rng)
+            spec = random_hash_spec(m, k, rng.getrandbits(64))
             a = rng.getrandbits(m)
             b = rng.getrandbits(m)
             while b == a:
@@ -269,7 +303,7 @@ class TestEcVerify:
     def test_equal_keys(self):
         rng = random.Random(8)
         key = random_bits(rng, 128)
-        assert ec_verify(key, key, 64, rng)
+        assert ec_verify(key, key, 64, rng.getrandbits(64))
 
     def test_differing_keys_detected(self):
         rng = random.Random(9)
@@ -278,24 +312,24 @@ class TestEcVerify:
             pos = rng.randrange(128)
             other = key.copy()
             other[pos] ^= 1
-            assert not ec_verify(key, other, 64, rng)
+            assert not ec_verify(key, other, 64, rng.getrandbits(64))
 
     def test_empty_keys_false(self):
-        assert not ec_verify(bits(""), bits(""), 64, random.Random(10))
+        assert not ec_verify(bits(""), bits(""), 64, 10)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            ec_verify(bits("101"), bits("10"), 8, random.Random(11))
+            ec_verify(bits("101"), bits("10"), 8, 11)
 
     def test_non_binary_key_rejected(self):
         with pytest.raises(ValueError):
-            ec_verify(np.array([1, -1, 1, 0], np.int8), bits("1110"), 4, random.Random(20))
+            ec_verify(np.array([1, -1, 1, 0], np.int8), bits("1110"), 4, 20)
 
     @pytest.mark.parametrize("i", range(len(NON_BINARY)))
     def test_non_binary_array_rejected(self, i):
         for pair in ((NON_BINARY[i], bits("1110")), (bits("1110"), NON_BINARY[i])):
             with pytest.raises(ValueError, match="only 0 and 1"):
-                ec_verify(*pair, 4, random.Random(20))
+                ec_verify(*pair, 4, 20)
 
 
 class TestOutputLengthPolicy:
@@ -325,34 +359,34 @@ class TestOutputLengthPolicy:
 
 class TestPrivacyAmplify:
     def test_full_leakage_empty_key(self):
-        secret, spec = privacy_amplify(np.ones(100, np.uint8), 1.0, 10, random.Random(12))
+        secret, spec = privacy_amplify(np.ones(100, np.uint8), 1.0, 10, 12)
         assert_bits_equal(secret, bits(""))
         assert spec.output_len == 0
 
     def test_no_leakage_full_length(self):
         key = random_bits(random.Random(13), 256)
-        secret, spec = privacy_amplify(key, 0.0, 0, random.Random(14))
+        secret, spec = privacy_amplify(key, 0.0, 0, 14)
         assert len(secret) == 256
         assert spec.output_len == 256
 
     def test_peers_agree_through_shared_spec(self):
         rng = random.Random(15)
         key = random_bits(rng, 200)
-        secret, spec = privacy_amplify(key, 0.25, 8, rng)
+        secret, spec = privacy_amplify(key, 0.25, 8, rng.getrandbits(64))
         assert_bits_equal(universal_hash(key, spec), secret)
 
     def test_empty_key(self):
-        secret, spec = privacy_amplify(bits(""), 0.0, 0, random.Random(16))
+        secret, spec = privacy_amplify(bits(""), 0.0, 0, 16)
         assert_bits_equal(secret, bits(""))
         assert spec is None
 
     def test_key_above_cap_rejected(self):
         key = np.zeros(MAX_HASH_INPUT_BITS + 1, np.uint8)
         with pytest.raises(ValueError, match="MAX_HASH_INPUT_BITS"):
-            privacy_amplify(key, 1.0, 0, random.Random(19))
+            privacy_amplify(key, 1.0, 0, 19)
 
     @pytest.mark.parametrize("eve_info", [0.0, 1.0])
     @pytest.mark.parametrize("i", range(len(NON_BINARY)))
     def test_non_binary_key_rejected(self, i, eve_info):
         with pytest.raises(ValueError, match="only 0 and 1"):
-            privacy_amplify(NON_BINARY[i], eve_info, 0, random.Random(19))
+            privacy_amplify(NON_BINARY[i], eve_info, 0, 19)

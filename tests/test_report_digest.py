@@ -16,7 +16,7 @@ import pytest
 from qkdsim.protocol import PROTOCOLS
 
 REPO = Path(__file__).resolve().parents[1]
-DIGEST = "bee84eeeda7ab40870a8142773475f39bd274d14ff33150a48b41c420f941cb8"
+DIGEST = "aa2abb6d57c958c421c71fc10009cf3817fa4d663be888338999900e3e8ae0ad"
 
 
 def load_script():
