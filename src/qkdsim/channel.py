@@ -1,7 +1,7 @@
 """Loss and noise parameters for one photon leg, plus fiber link budgets.
 
 A round crosses its protocol's leg count (``PROTOCOLS`` in the protocol
-module) and pays the fiber attenuation on each leg; ``protocol._traverse``
+module) and pays the fiber attenuation on each leg; ``protocol._session_coins``
 draws a session's survival and net flip from a :class:`ChannelSpec`.
 Noise is a basis-relative bit flip per leg, which reproduces the
 polarization-flip disturbance observable directly.  Lost photons only

@@ -28,8 +28,9 @@ substituted carriers traverse exactly the legs a genuine one would.
 
 Message-mode disturbance is estimated on a randomly disclosed 10% sample
 of the sifted key, which is then discarded from the key.  Everything is
-deterministic given the session seed: all draws come in bulk from one
-``random.Random(seed)`` stream.
+deterministic given the session seed: each column a session draws is a
+block of the counter-based stream (``qkdsim.stream``) of its own purpose,
+keyed by ``child_seed(seed, purpose)``.
 """
 
 import functools

@@ -15,7 +15,6 @@ scalars warn, and a word's bytes and bits are read least significant first.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -37,14 +36,14 @@ def child_seed(seed: int, salt: int) -> int:
     return x ^ (x >> 31)
 
 
-def words(keys, counters) -> np.ndarray:
-    """Words ``counters`` (1-d) of the streams keyed by ``keys``, one int or one
-    key per counter; fewer than ``_FEW`` are taken from :func:`child_seed`."""
-    counters = np.asarray(counters, np.uint64)
+def words(keys, counters: np.ndarray) -> np.ndarray:
+    """Words ``counters`` (a 1-d integer array) of the streams keyed by
+    ``keys``, one int or one key per counter; fewer than ``_FEW`` are taken
+    from :func:`child_seed`."""
     if len(counters) < _FEW:
-        keys = np.asarray(keys, np.uint64).tolist() if np.ndim(keys) else [keys] * len(counters)
+        keys = keys.tolist() if np.ndim(keys) else [keys] * len(counters)
         return np.array(list(map(child_seed, keys, counters.tolist())), np.uint64)
-    return _mix((counters + _ONE) * _GAMMA + keys)
+    return _mix((counters.astype(np.uint64) + _ONE) * _GAMMA + keys)
 
 
 def block(keys, start: int, stop: int) -> np.ndarray:
@@ -53,13 +52,14 @@ def block(keys, start: int, stop: int) -> np.ndarray:
 
 
 def blocks(*parts) -> list[np.ndarray]:
-    """``block(keys, start, stop)`` for each ``(keys, start, stop)`` part, in one mix."""
-    shapes = [np.shape(keys)[:1] + (stop - start,) for keys, start, stop in parts]
-    flat = np.empty(sum(map(math.prod, shapes)), "<u8")
+    """``block(keys, start, stop)`` for each ``(keys, start, stop)`` part with
+    (rows, 1) keys, in one mix."""
+    sizes = [len(keys) * (stop - start) for keys, start, stop in parts]
+    flat = np.empty(sum(sizes), "<u8")
     out, at = [], 0
-    for (keys, start, stop), shape in zip(parts, shapes):
-        size = math.prod(shape)
-        out.append(np.add(_steps(start, stop), keys, out=flat[at:at + size].reshape(shape)))
+    for (keys, start, stop), size in zip(parts, sizes):
+        view = flat[at:at + size].reshape(len(keys), stop - start)
+        out.append(np.add(_steps(start, stop), keys, out=view))
         at += size
     _mix(flat)
     return out
