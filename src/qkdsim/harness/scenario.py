@@ -351,8 +351,11 @@ def _run_session_scenario(sc: Scenario, out: Path) -> ScenarioResult:
     if len(transcript.eve_key) and (transcript.eve_key >= 0).all():
         summary.append(("eve_key_hex", bits_to_hex(transcript.eve_key)))
     # Privacy amplification needs only Alice's key: free the round columns
-    # before the hash allocates its FFT buffers.
+    # before the hash allocates its FFT buffers.  The key was gathered while
+    # they were alive, above them in the heap; a copy moves it below, so the
+    # heap can shrink (at 2**24 rounds the peak falls by about 40 MB).
     del transcript
+    key = key.copy()
 
     if not aborted and len(key):
         eve_info = leaked_fraction(est, cfg)
