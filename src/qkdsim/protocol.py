@@ -322,7 +322,7 @@ def _plan(columns: tuple, indexed: bool) -> tuple:
     constant p of 0 or 1, else None), then the drawn columns' purposes and,
     for each p (a tuple of them if ``indexed``), t = the top byte of
     8 * ceil(p * 2**53) capped at 255 (uint8) and the rest below t * 2**48."""
-    certain = [None if indexed or p not in (0.0, 1.0) else p == 1.0 for _, p in columns]
+    certain = tuple(None if indexed or p not in (0.0, 1.0) else p == 1.0 for _, p in columns)
     drawn = [column for column, coin in zip(columns, certain) if coin is None]
     if not drawn:
         return certain, None, None, None
