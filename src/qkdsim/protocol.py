@@ -358,7 +358,7 @@ def _session_coins(cfg: SessionConfig, draws: _Draws, legs: int, back: bool) -> 
     f = (1.0 - (1.0 - 2.0 * cfg.channel.flip_prob) ** legs) / 2.0
     cm = 0.0 if cfg.protocol is ProtocolKind.BB84 else cfg.cm_fraction
     eve = 0.0 if cfg.attack.kind is AttackKind.NO_ATTACK else cfg.attack.presence
-    channel = ((_ALIVE_OUT, t), (_FLIP_OUT, f)) + (((_ALIVE_BACK, t), (_FLIP_BACK, f)) if back else ())
+    channel = ((_ALIVE_OUT, t), (_FLIP_OUT, f)) + ((_ALIVE_BACK, t), (_FLIP_BACK, f)) * back
     return draws.bernoulli((_CM, cm), (_EVE, eve), *channel, (_DISCLOSE, DISCLOSE_FRACTION))
 
 

@@ -266,6 +266,15 @@ def test_a_new_column_moves_no_other(monkeypatch):
     assert len(drawn) == len(STREAM_CASES) + 3 and all(c.any() and not c.all() for c in drawn)
 
 
+def test_passes_leave_every_column_alone(monkeypatch):
+    """A session drawn in passes of 64 rounds, as a long one is, with its
+    words mixed in passes of 5, is byte-identical to one drawn whole."""
+    whole = {name: session_text(run_session(cfg)) for name, (cfg, _) in STREAM_CASES.items()}
+    monkeypatch.setattr(protocol, "_PASS_ROUNDS", 64)
+    monkeypatch.setattr(stream, "PASS_WORDS", 5)
+    assert {name: session_text(run_session(cfg)) for name, (cfg, _) in STREAM_CASES.items()} == whole
+
+
 # The random stream, pinned.  Changing a digest changes the reports every
 # seed produces: that is a stream change, and it must be recorded in
 # CHANGES.md together with the evidence that the law of the draws held.

@@ -183,8 +183,8 @@ class TestUniversalHash:
         """hash(x xor y) = hash(x) xor hash(y) for the matrix family."""
         rng = random.Random(6)
         m, k = 64, 32
-        trials = [(random_hash_spec(m, k, rng.getrandbits(64)), random_bits(rng, m), random_bits(rng, m))
-                  for _ in range(2000)]
+        trials = [(random_hash_spec(m, k, rng.getrandbits(64)), random_bits(rng, m),
+                   random_bits(rng, m)) for _ in range(2000)]
         specs, xs, ys = zip(*trials)
         seeds, a, b = np.stack([s.seed_bits for s in specs]), np.stack(xs), np.stack(ys)
         ha, hb, hxor = (_toeplitz_parity(seeds, rows, m, k) for rows in (a, b, a ^ b))
