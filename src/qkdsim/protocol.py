@@ -316,21 +316,22 @@ class _Draws:
         return [next(rows) if coin is None else coin for coin in coins]
 
 
-@functools.lru_cache(maxsize=1024)
 def _plan(columns: tuple, indexed: bool) -> tuple:
     """For :meth:`_Draws.bernoulli`: each column's certain coin (p == 1 for a
     constant p of 0 or 1, else None), then the drawn columns' purposes and,
     for each p (a tuple of them if ``indexed``), t = the top byte of
     8 * ceil(p * 2**53) capped at 255 (uint8) and the rest below t * 2**48."""
-    certain = tuple(None if indexed or p not in (0.0, 1.0) else p == 1.0 for _, p in columns)
+    certain = [None if indexed or p not in (0.0, 1.0) else p == 1.0 for _, p in columns]
     drawn = [column for column, coin in zip(columns, certain) if coin is None]
     if not drawn:
         return certain, None, None, None
-    thresholds = np.array([[8 * math.ceil(q * 2 ** 53) for q in (p if indexed else (p,))]
-                           for _, p in drawn], dtype=np.uint64)
-    top = np.minimum(thresholds >> np.uint64(48), 255)
-    return (certain, np.array([purpose for purpose, _ in drawn]), top.astype(np.uint8),
-            thresholds - (top << np.uint64(48)))
+    # Flat lists: numpy builds an array from nested ones several times slower.
+    thresholds = [8 * math.ceil(q * 2.0 ** 53) for _, p in drawn for q in (p if indexed else (p,))]
+    top = [min(t >> 48, 255) for t in thresholds]
+    low = [t - (c << 48) for t, c in zip(thresholds, top)]
+    shape = len(drawn), len(top) // len(drawn)
+    return (certain, np.array([purpose for purpose, _ in drawn]),
+            np.array(top, np.uint8).reshape(shape), np.array(low, np.uint64).reshape(shape))
 
 
 def _select(cond, a, b) -> np.ndarray:

@@ -20,12 +20,11 @@ import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
 _MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
-# As uint64 scalars, which numpy applies to an array without converting a
-# Python int on every call.
-_GAMMA, _ONE, _LAST = np.uint64(GAMMA), np.uint64(1), np.uint64(31)
-_MIX64 = tuple((np.uint64(shift), np.uint64(factor)) for shift, factor in _MIX)
+# As 0-d uint64 arrays, which numpy applies to a short array faster than a
+# Python int or a uint64 scalar (0.45 against 0.74-0.88 us on 64 words).
+_GAMMA, _ONE, _LAST = (np.array(x, np.uint64) for x in (GAMMA, 1, 31))
+_MIX64 = tuple((np.array(shift, np.uint64), np.array(factor, np.uint64)) for shift, factor in _MIX)
 PASS_WORDS = 1 << 15  # words per pass of the mix: a pass stays in cache
-_FEW = 8  # fewer words than this cost less in Python ints than in numpy calls
 
 
 def child_seed(seed: int, salt: int) -> int:
@@ -38,11 +37,7 @@ def child_seed(seed: int, salt: int) -> int:
 
 def words(keys, counters: np.ndarray) -> np.ndarray:
     """Words ``counters`` (a 1-d integer array) of the streams keyed by
-    ``keys``, one int or one key per counter; fewer than ``_FEW`` are taken
-    from :func:`child_seed`."""
-    if len(counters) < _FEW:
-        keys = keys.tolist() if np.ndim(keys) else [keys] * len(counters)
-        return np.array(list(map(child_seed, keys, counters.tolist())), np.uint64)
+    ``keys``, one int or one key per counter."""
     return _mix((counters.astype(np.uint64) + _ONE) * _GAMMA + keys)
 
 
