@@ -272,7 +272,8 @@ def test_passes_leave_every_column_alone(monkeypatch):
     whole = {name: session_text(run_session(cfg)) for name, (cfg, _) in STREAM_CASES.items()}
     monkeypatch.setattr(protocol, "_PASS_ROUNDS", 64)
     monkeypatch.setattr(stream, "PASS_WORDS", 5)
-    assert {name: session_text(run_session(cfg)) for name, (cfg, _) in STREAM_CASES.items()} == whole
+    passes = {name: session_text(run_session(cfg)) for name, (cfg, _) in STREAM_CASES.items()}
+    assert passes == whole
 
 
 # The random stream, pinned.  Changing a digest changes the reports every
