@@ -55,8 +55,10 @@ def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
 
 def check_bits(bits: np.ndarray, name: str) -> np.ndarray:
     """``bits`` as a uint8 array; ValueError when a value is not 0 or 1.
+
     An unsigned or bool array is checked by its maximum, one pass with no
-    temporary array; any other kind value by value."""
+    temporary array; any other kind value by value.
+    """
     bits = np.asarray(bits)
     if bits.max(initial=0) > 1 if bits.dtype.kind in "bu" else np.any((bits != 0) & (bits != 1)):
         raise ValueError(f"{name} must contain only 0 and 1")
