@@ -12,7 +12,6 @@ import sys
 from ..infotheory import CURVE_LABELS
 from .config import parse_config
 from .scenario import run_scenario
-from .selftest import run_selftest
 
 # flag: the config key it sets
 _FLAGS = {
@@ -99,7 +98,8 @@ def main(argv=None) -> int:
         if command is None:
             print(_usage())
             return 0
-        if command == "selftest":
+        if command == "selftest":  # imported here: no other command loads the suite
+            from .selftest import run_selftest
             return run_selftest()
         name = {} if command == "run" else {"scenario.name": (command, argument or "sweep")}
         result = run_scenario(parse_config(argument if command == "run" else None, name | flags))

@@ -12,7 +12,6 @@ import csv
 import filecmp
 import functools
 import math
-import random
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -27,13 +26,13 @@ from ..infotheory import binary_entropy, build_curve, critical_disturbance, key_
 from ..postproc import (
     HashSpec,
     _toeplitz_parity,
-    bit_rows,
     choose_output_length,
     privacy_amplify,
     random_hash_spec,
     universal_hash,
 )
 from ..protocol import PROTOCOLS, ProtocolKind, SessionConfig, run_session
+from ..stream import bits, block, child_seed
 from .scenario import Scenario, run_scenario
 
 _SEED = 987654321
@@ -298,40 +297,43 @@ def _hash_rows(seeds: np.ndarray, xs: np.ndarray, m: int, k: int,
                            for i in range(0, len(xs), chunk)])
 
 
+def _rows(purpose: int, n: int, width: int) -> np.ndarray:
+    """n rows of ``width`` bits, each from its own ceil(width / 64) words of
+    the stream keyed by ``child_seed(_SEED, purpose)``, in one block."""
+    words = -(-width // 64)
+    return bits(block(child_seed(_SEED, purpose), 0, n * words).reshape(n, words), width)
+
+
 def _check_hash_properties() -> CheckResult:
-    """The hash family is deterministic, linear over XOR and collision-free at k=32."""
-    rng = random.Random(_SEED)
+    """The hash family is deterministic, linear over XOR and collision-free at k=32.
+
+    Each row set (the one determinism input, the two sides of the 10^4
+    linearity pairs, the 10^5 trials' diagonals and their two inputs) reads
+    its own purpose of the stream.  A trial whose inputs drew equal, a
+    2^-64 chance, has bit 0 of its second input flipped, so all 10^5
+    collision pairs are distinct.
+    """
     m, k = 64, 32
     spec = random_hash_spec(m, k, _SEED)
-    x = bit_rows([rng.getrandbits(m)], m)[0]
+    sizes = ((1, m), (10000, m), (10000, m), (100000, m + k - 1), (100000, m), (100000, m))
+    (x,), a, b, seeds, rows_a, rows_b = (_rows(purpose, n, width)
+                                         for purpose, (n, width) in enumerate(sizes))
     determinism = np.array_equal(universal_hash(x, spec), universal_hash(x, spec))
 
-    pairs = [(rng.getrandbits(m), rng.getrandbits(m)) for _ in range(10000)]
-    a, b = (bit_rows(column, m) for column in zip(*pairs))
-    seed = np.broadcast_to(spec.seed_bits, (len(pairs), m + k - 1))
+    seed = np.broadcast_to(spec.seed_bits, (len(a), m + k - 1))
     ha, hb, hx = (_hash_rows(seed, rows, m, k) for rows in (a, b, a ^ b))
     linear = bool(np.array_equal(hx, ha ^ hb))
 
-    trials = []
-    for _ in range(100000):
-        diagonals = rng.getrandbits(m + k - 1)  # a uniformly drawn member's diagonals
-        xa = rng.getrandbits(m)
-        xb = rng.getrandbits(m)
-        while xb == xa:
-            xb = rng.getrandbits(m)
-        trials.append((diagonals, xa, xb))
-    diagonals, xa, xb = zip(*trials)
-    seeds = bit_rows(diagonals, m + k - 1)
-    rows_a = bit_rows(xa, m)
+    rows_b[:, 0] ^= np.all(rows_a == rows_b, axis=1)
     ha = _hash_rows(seeds, rows_a, m, k)
-    hb = _hash_rows(seeds, bit_rows(xb, m), m, k)
+    hb = _hash_rows(seeds, rows_b, m, k)
     collisions = int(np.all(ha == hb, axis=1).sum())
     # On a sample of the trials the batch must agree with universal_hash
     # and with the matrix definition, which shares no arithmetic with it.
     agree = all(
         np.array_equal(universal_hash(rows_a[i], HashSpec(m, k, seeds[i])), ha[i])
         and np.array_equal(_matrix_hash(seeds[i], rows_a[i], m, k), ha[i])
-        for i in range(0, len(trials), 1000))
+        for i in range(0, len(seeds), 1000))
     ok = determinism and agree and linear and collisions == 0
     return CheckResult(ok, f"deterministic={determinism}, batch agrees with "
                            f"universal_hash and the matrix={agree}, "

@@ -25,7 +25,6 @@ eavesdropper already holds.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +38,6 @@ DEFAULT_SAFETY_BITS = 32
 
 # Largest input length m that universal_hash accepts (see its docstring).
 MAX_HASH_INPUT_BITS = 2 ** 24
-
-
-def bit_rows(values: Sequence[int], width: int) -> np.ndarray:
-    """uint8 bit rows of shape (len(values), width), most significant bit first.
-
-    Row i holds the low ``width`` bits of ``values[i]``, in the order
-    f"{values[i]:0{width}b}" spells them.
-    """
-    nbytes = (width + 7) // 8
-    packed = b"".join(v.to_bytes(nbytes, "big") for v in values)
-    raw = np.frombuffer(packed, dtype=np.uint8).reshape(len(values), nbytes)
-    return np.unpackbits(raw, axis=1)[:, nbytes * 8 - width:]
 
 
 def check_bits(bits: np.ndarray, name: str) -> np.ndarray:

@@ -9,9 +9,11 @@ purpose.  The oracle below scripts those words, so it pins both the
 coins and exactly which words they read.
 """
 
+import ast
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +237,24 @@ def test_adjacent_streams_are_uncorrelated(a, b):
     assert all(four_sigma_count(int(c), len(first)) for c in agree), agree
     r = np.corrcoef(first.astype(np.float64), second.astype(np.float64))[0, 1]
     assert abs(r) < 4 / math.sqrt(len(first)), r
+
+
+def test_no_module_imports_random():
+    """Every random bit in the package comes from qkdsim.stream: no module
+    under it imports the standard library's random."""
+    root = Path(stream.__file__).parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # not a relative import
+                names = [node.module]
+            else:
+                continue
+            if "random" in (name.split(".")[0] for name in names):
+                importers.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not importers
 
 
 def session_text(transcript):

@@ -31,7 +31,7 @@ from qkdsim.harness.scenario import (
     parse_p_grid,
     run_scenario,
 )
-from qkdsim.harness.selftest import _PAPER_LEGS
+from qkdsim.harness.selftest import _PAPER_LEGS, Check, CheckResult
 from qkdsim.infotheory import DEFAULT_D_PD_CM, critical_disturbance
 from qkdsim.postproc import MAX_HASH_INPUT_BITS
 from qkdsim.protocol import (
@@ -821,6 +821,13 @@ class TestSessionScenario:
         assert Path(result.paths[0]).read_bytes() == expected
 
 
+def _child_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(qkdsim.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestCli:
     def test_curves_command(self, tmp_path, capsys):
         code = main(["curves", "fig2a", "--out", str(tmp_path), "--seed", "1"])
@@ -905,9 +912,7 @@ class TestCli:
 
     def test_runs_with_docstrings_stripped(self, tmp_path):
         """Under python -OO every __doc__ is None; the CLI must not need one."""
-        src = str(Path(qkdsim.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _child_env()
         proc = subprocess.run(
             [sys.executable, "-OO", "-m", "qkdsim.harness.cli", "curves", "fig2a",
              "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
@@ -917,6 +922,32 @@ class TestCli:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "--p-grid" in proc.stdout and "sweep.p_grid" in proc.stdout
+
+    def test_other_commands_never_load_the_acceptance_suite(self, tmp_path):
+        """curves, sweep and run, in a child interpreter, leave
+        qkdsim.harness.selftest unimported."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[scenario]\nname = fig2b\nseed = 5\nout_dir = {tmp_path / 'run'}\n")
+        commands = [["curves", "fig2a", "--out", str(tmp_path / "curves")],
+                    ["sweep", "--protocol", "lm05", "--attack", "mitm_lm05", "--p-grid", "0:1:2",
+                     "--rounds", "500", "--seed", "7", "--out", str(tmp_path / "sweep")],
+                    ["run", str(cfg)]]
+        script = ("import sys\nfrom qkdsim.harness.cli import main\n"
+                  f"codes = [main(argv) for argv in {commands!r}]\n"
+                  "print(codes, 'qkdsim.harness.selftest' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+    def test_selftest_command_runs_the_suite(self, monkeypatch, capsys):
+        """`qkdsim selftest` imports the suite on demand, prints each
+        criterion's line and exits 1 when one fails."""
+        for passed, code in ((True, 0), (False, 1)):
+            check = Check(1, "stub", lambda: CheckResult(passed, "detail"))
+            monkeypatch.setattr("qkdsim.harness.selftest.CHECKS", (check,))
+            assert main(["selftest"]) == code
+            assert "criterion  1 stub: detail" in capsys.readouterr().out
 
     def test_seed_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
